@@ -17,10 +17,10 @@ module Clock = Monotonic_clock
 open Bechamel
 open Toolkit
 
-(* The parallel leg: honor SPEEDUP_JOBS when it asks for real
-   parallelism, else exercise 4 domains (the CI setting) even on
-   boxes whose recommended count is 1. *)
-let jobs_n = max 4 (Pool.jobs ())
+(* The parallel leg runs at the pool's own job count: SPEEDUP_JOBS
+   when set, else the recommended domain count.  More domains than
+   cores only adds contention to the timed runs. *)
+let jobs_n = Pool.jobs ()
 
 let with_pool_jobs n f =
   Pool.set_jobs (Some n);

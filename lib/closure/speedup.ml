@@ -50,7 +50,8 @@ type report = {
 
 let speedup_holds r =
   match r.base with
-  | Solvability.Unsolvable | Solvability.Undecided -> true
+  | Solvability.Unsolvable -> true
+  | Solvability.Undecided -> false
   | Solvability.Solvable _ ->
       r.construction_valid && Solvability.is_solvable r.closure_direct
 
@@ -79,7 +80,7 @@ let verify ?node_limit ?memo setting task ~rounds ~inputs =
   let closure_delta = Closure.delta ?node_limit ?memo ~op task in
   let closure_direct =
     match base with
-    | Solvability.Unsolvable | Solvability.Undecided -> Solvability.Unsolvable
+    | (Solvability.Unsolvable | Solvability.Undecided) as v -> v
     | Solvability.Solvable _ ->
         Solvability.decide ?node_limit ~inputs
           ~protocol:(fun sigma -> setting.protocol_fn sigma (rounds - 1))

@@ -34,13 +34,14 @@ type report = {
           with Δ' of the closure ([false] when [base] is not
           solvable). *)
   closure_direct : Solvability.verdict;
-      (** independent solver run: closure solvable in [t-1] rounds. *)
+      (** independent solver run: closure solvable in [t-1] rounds;
+          when [base] is not solvable, this is [base] itself. *)
 }
 
 val speedup_holds : report -> bool
 (** The theorem's guarantee on this instance: either the base task is
     unsolvable, or both the construction and the direct check
-    succeed. *)
+    succeed.  An [Undecided] base (node limit hit) is not a pass. *)
 
 val verify :
   ?node_limit:int -> ?memo:bool -> setting -> Task.t -> rounds:int ->

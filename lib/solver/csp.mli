@@ -19,7 +19,9 @@ val create : num_vars:int -> candidate_counts:int array -> t
 val add_table_constraint : t -> scope:int array -> tuples:int array array -> unit
 (** [scope] lists variables; each tuple gives one allowed combination
     of candidate indices, aligned with [scope].  An empty tuple list
-    makes the problem unsatisfiable. *)
+    makes the problem unsatisfiable.  The solver only reads [tuples] and
+    keeps a reference to it, so one table may be shared by several
+    constraints; it must not be mutated afterwards. *)
 
 val pin : t -> var:int -> value:int -> unit
 (** Restrict a variable's domain to a single candidate. *)

@@ -84,24 +84,36 @@ let decide ?node_limit ?should_stop ~inputs ~protocol ~delta () =
       counts.(id) <- Vertex.Tbl.length t)
     tb.vars;
   let csp = Csp.create ~num_vars:tb.num_vars ~candidate_counts:counts in
+  (* Pass 2: one table constraint per protocol facet.  The allowed
+     tuples depend only on Δ(σ') and the facet's color set, and pass 1b
+     has already registered every candidate, so each table is built
+     once per (input, color set) and the same array is shared by every
+     facet with that color set. *)
   List.iter
     (fun (p, d) ->
+      let by_colors = Hashtbl.create 8 in
+      let table_for colors =
+        match Hashtbl.find_opt by_colors colors with
+        | Some tuples -> tuples
+        | None ->
+            let tuples =
+              Array.of_list
+                (List.map
+                   (fun s ->
+                     Array.of_list
+                       (List.map (fun w -> cand_index tb w) (Simplex.vertices s)))
+                   (Complex.simplices_with_ids colors d))
+            in
+            Hashtbl.add by_colors colors tuples;
+            tuples
+      in
       List.iter
         (fun facet ->
-          let scope_vertices = Simplex.vertices facet in
           let scope =
-            Array.of_list (List.map (fun v -> Vertex.Tbl.find tb.var_of v) scope_vertices)
-          in
-          let allowed = Complex.simplices_with_ids (Simplex.ids facet) d in
-          let tuples =
             Array.of_list
-              (List.map
-                 (fun s ->
-                   Array.of_list
-                     (List.map (fun w -> cand_index tb w) (Simplex.vertices s)))
-                 allowed)
+              (List.map (fun v -> Vertex.Tbl.find tb.var_of v) (Simplex.vertices facet))
           in
-          Csp.add_table_constraint csp ~scope ~tuples)
+          Csp.add_table_constraint csp ~scope ~tuples:(table_for (Simplex.ids facet)))
         (Complex.facets p))
     raw;
   let result = Csp.solve ?node_limit ?should_stop csp in

@@ -7,16 +7,25 @@ let edges c =
         vs)
     (Complex.facets c)
 
-let neighbors c v =
-  List.filter_map
-    (fun (a, b) ->
-      if Vertex.equal a v then Some b else if Vertex.equal b v then Some a else None)
-    (edges c)
-  |> List.sort_uniq Vertex.compare
+(* Neighbour lists of every vertex, built in one pass over the edges so
+   a BFS does not rescan the complex on each pop.  A BFS looks up each
+   vertex once, so sorting at lookup costs no more than sorting here;
+   the sorted order fixes the BFS visiting order. *)
+let adjacency c =
+  let adj = Vertex.Tbl.create 64 in
+  let add v w =
+    Vertex.Tbl.replace adj v (w :: Option.value ~default:[] (Vertex.Tbl.find_opt adj v))
+  in
+  List.iter (fun (a, b) -> add a b; add b a) (edges c);
+  fun v ->
+    List.sort_uniq Vertex.compare (Option.value ~default:[] (Vertex.Tbl.find_opt adj v))
+
+let neighbors c v = adjacency c v
 
 let path c src dst =
   if Vertex.equal src dst then Some [ src ]
   else
+    let neighbors = adjacency c in
     let visited = Vertex.Tbl.create 64 in
     Vertex.Tbl.add visited src src;
     let queue = Queue.create () in
@@ -30,7 +39,7 @@ let path c src dst =
             Vertex.Tbl.add visited w v;
             if Vertex.equal w dst then found := true else Queue.add w queue
           end)
-        (neighbors c v)
+        (neighbors v)
     done;
     if not !found then None
     else
@@ -41,6 +50,7 @@ let path c src dst =
       Some (back dst [])
 
 let components c =
+  let neighbors = adjacency c in
   let remaining = ref (Vertex.Set.of_list (Complex.vertices c)) in
   let comps = ref [] in
   while not (Vertex.Set.is_empty !remaining) do
@@ -57,7 +67,7 @@ let components c =
             comp := Vertex.Set.add w !comp;
             Queue.add w queue
           end)
-        (neighbors c v)
+        (neighbors v)
     done;
     remaining := Vertex.Set.diff !remaining !comp;
     comps := Vertex.Set.elements !comp :: !comps

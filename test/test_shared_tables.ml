@@ -1,0 +1,180 @@
+(* Differential test of the solver's table construction.
+   [Solvability.decide] builds one tuple table per (input, facet color
+   set) and shares it across facets; the reference below is the
+   unshared construction, one table per protocol facet rebuilt from
+   Δ(σ') through [Complex.simplices_with_ids].  Variables and
+   candidates are numbered exactly as [Solvability.decide] numbers them
+   (candidates then variables, input by input, in vertex order), so the
+   two must agree on the witness map, not just on the verdict. *)
+
+let decide_unshared ~inputs ~protocol ~delta =
+  let var_of = Vertex.Tbl.create 64 and vars = ref [] in
+  let var_id v =
+    if not (Vertex.Tbl.mem var_of v) then begin
+      Vertex.Tbl.add var_of v (Vertex.Tbl.length var_of);
+      vars := v :: !vars
+    end
+  in
+  (* color -> (vertex -> candidate index, candidates in reverse order) *)
+  let cands = Hashtbl.create 8 in
+  let cands_of color =
+    match Hashtbl.find_opt cands color with
+    | Some c -> c
+    | None ->
+        let c = (Vertex.Tbl.create 16, ref []) in
+        Hashtbl.add cands color c;
+        c
+  in
+  let cand_index v =
+    let t, l = cands_of (Vertex.color v) in
+    match Vertex.Tbl.find_opt t v with
+    | Some k -> k
+    | None ->
+        let k = Vertex.Tbl.length t in
+        Vertex.Tbl.add t v k;
+        l := v :: !l;
+        k
+  in
+  let pairs = List.map (fun sigma -> (protocol sigma, delta sigma)) inputs in
+  List.iter
+    (fun (p, d) ->
+      List.iter (fun v -> ignore (cand_index v)) (Complex.vertices d);
+      List.iter var_id (Complex.vertices p))
+    pairs;
+  let vars = List.rev !vars in
+  let counts =
+    Array.of_list
+      (List.map (fun v -> Vertex.Tbl.length (fst (cands_of (Vertex.color v)))) vars)
+  in
+  let csp = Csp.create ~num_vars:(List.length vars) ~candidate_counts:counts in
+  List.iter
+    (fun (p, d) ->
+      List.iter
+        (fun facet ->
+          let scope =
+            Array.of_list (List.map (Vertex.Tbl.find var_of) (Simplex.vertices facet))
+          in
+          let tuples =
+            Array.of_list
+              (List.map
+                 (fun s -> Array.of_list (List.map cand_index (Simplex.vertices s)))
+                 (Complex.simplices_with_ids (Simplex.ids facet) d))
+          in
+          Csp.add_table_constraint csp ~scope ~tuples)
+        (Complex.facets p))
+    pairs;
+  match Csp.solve csp with
+  | Csp.Unsat -> Solvability.Unsolvable
+  | Csp.Unknown -> Solvability.Undecided
+  | Csp.Sat assignment ->
+      let image v =
+        let _, l = cands_of (Vertex.color v) in
+        List.nth (List.rev !l) assignment.(Vertex.Tbl.find var_of v)
+      in
+      Solvability.Solvable
+        (Simplicial_map.of_assoc (List.map (fun v -> (v, image v)) vars))
+
+let same_verdict a b =
+  match (a, b) with
+  | Solvability.Solvable f, Solvability.Solvable g ->
+      List.equal
+        (fun (v, w) (v', w') -> Vertex.equal v v' && Vertex.equal w w')
+        (Simplicial_map.graph f) (Simplicial_map.graph g)
+  | Solvability.Unsolvable, Solvability.Unsolvable
+  | Solvability.Undecided, Solvability.Undecided ->
+      true
+  | _ -> false
+
+let agree ~inputs ~protocol ~delta =
+  same_verdict
+    (Solvability.decide ~inputs ~protocol ~delta ())
+    (decide_unshared ~inputs ~protocol ~delta)
+
+let immediate rounds sigma = Model.protocol_complex Model.Immediate sigma rounds
+
+let prop_random_tasks name random_task =
+  QCheck2.Test.make ~name ~count:40
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 1))
+    (fun (seed, rounds) ->
+      let t = random_task seed in
+      agree ~inputs:(Task.input_simplices t) ~protocol:(immediate rounds)
+        ~delta:(Task.delta t))
+
+(* Every τ of the n = 3 consensus closure enumeration under Immediate
+   that needs a solver run (τ ∉ Δ(σ)), decided exactly as
+   [Solvability.local_task_solvable] decides it. *)
+let test_consensus_closure_taus () =
+  let task = Consensus.binary ~n:3 in
+  let one_round = Round_op.facets (Round_op.plain Model.Immediate) in
+  let checked = ref 0 in
+  List.iter
+    (fun sigma ->
+      let zero = Task.delta task sigma in
+      List.iter
+        (fun tau ->
+          if not (Complex.mem tau zero) then begin
+            incr checked;
+            let local = Local_task.make task ~sigma ~tau in
+            Alcotest.(check bool)
+              (Printf.sprintf "σ=%s τ=%s" (Simplex.to_string sigma)
+                 (Simplex.to_string tau))
+              true
+              (agree ~inputs:(Simplex.faces tau)
+                 ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
+                 ~delta:(Task.delta local))
+          end)
+        (Task.chromatic_output_sets task sigma))
+    (List.filter (fun s -> Simplex.card s = 3) (Task.input_simplices task));
+  Alcotest.(check bool) "some τ needed a solver run" true (!checked > 0)
+
+(* One input's protocol facets with three different color sets.  The
+   protocol complex of σ is σ's own 1-skeleton, and Δ(σ) is a graph of
+   edges, so each facet's table is a binary relation: "=" or "≠" on
+   {0, 1}.  σ0 alone is satisfiable; σ1 adds an odd "≠" constraint on
+   colors {2, 3} only, which makes the whole instance unsatisfiable.
+   A table cache keyed by input alone (every facet of σ1 getting the
+   {1, 2} table) or by color set alone (σ1 reusing σ0's tables) would
+   answer Solvable. *)
+let test_mixed_color_sets () =
+  let v i x = (i, Value.Int x) in
+  let edge i a j b = Simplex.of_list [ v i a; v j b ] in
+  let eq i j = [ edge i 0 j 0; edge i 1 j 1 ] in
+  let neq i j = [ edge i 0 j 1; edge i 1 j 0 ] in
+  let sigma x = Simplex.of_list [ v 1 x; v 2 x; v 3 x ] in
+  let sigma0 = sigma 0 and sigma1 = sigma 1 in
+  let delta s =
+    if Simplex.equal s sigma0 then Complex.of_facets (eq 1 2 @ eq 1 3 @ eq 2 3)
+    else Complex.of_facets (eq 1 2 @ eq 1 3 @ neq 2 3)
+  in
+  let protocol s =
+    Complex.of_facets (List.filter (fun f -> Simplex.card f = 2) (Simplex.faces s))
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check (list (list int)))
+        "facet color sets differ" [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
+        (List.sort compare (List.map Simplex.ids (Complex.facets (protocol s)))))
+    [ sigma0; sigma1 ];
+  let solvable inputs =
+    Solvability.is_solvable (Solvability.decide ~inputs ~protocol ~delta ())
+  in
+  Alcotest.(check bool) "σ0 alone is solvable" true (solvable [ sigma0 ]);
+  Alcotest.(check bool) "σ1 makes it unsolvable" false (solvable [ sigma0; sigma1 ]);
+  List.iter
+    (fun inputs ->
+      Alcotest.(check bool) "shared = unshared" true (agree ~inputs ~protocol ~delta))
+    [ [ sigma0 ]; [ sigma1 ]; [ sigma0; sigma1 ]; [ sigma1; sigma0 ] ]
+
+let suite =
+  ( "shared_tables",
+    [
+      QCheck_alcotest.to_alcotest
+        (prop_random_tasks "shared = unshared tables (brute's random tasks)"
+           Test_brute.random_task);
+      QCheck_alcotest.to_alcotest
+        (prop_random_tasks "shared = unshared tables (random 0/1/2 tasks)"
+           Test_random_tasks.random_task);
+      Alcotest.test_case "n=3 consensus closure τs" `Quick test_consensus_closure_taus;
+      Alcotest.test_case "facets with different color sets" `Quick
+        test_mixed_color_sets;
+    ] )

@@ -24,6 +24,23 @@ let test_unsolvable_base_vacuous () =
   Alcotest.(check bool) "base unsolvable" false (Solvability.is_solvable r.Speedup.base);
   Alcotest.(check bool) "theorem vacuously holds" true (Speedup.speedup_holds r)
 
+let test_undecided_base_fails () =
+  (* A node limit the base search cannot meet must not turn the check
+     into a pass, and the undecided base is carried into the direct
+     closure check instead of being read as "unsolvable".  This base
+     search needs more than one node. *)
+  let task = Approx_agreement.task ~n:2 ~m:2 ~eps:Frac.half in
+  let setting = Speedup.of_model Model.Immediate in
+  let inputs = binary_inputs 2 in
+  let r = Speedup.verify ~node_limit:1 setting task ~rounds:1 ~inputs in
+  let undecided = function Solvability.Undecided -> true | _ -> false in
+  Alcotest.(check bool) "base undecided" true (undecided r.Speedup.base);
+  Alcotest.(check bool) "closure direct undecided" true
+    (undecided r.Speedup.closure_direct);
+  Alcotest.(check bool) "not a pass" false (Speedup.speedup_holds r);
+  Alcotest.(check bool) "passes without the limit" true
+    (Speedup.speedup_holds (Speedup.verify setting task ~rounds:1 ~inputs))
+
 let test_derive_map_explicit () =
   (* The derived f' maps each (t-1)-round vertex like the solo
      extension: check on a solved 1-round instance that f' at round 0
@@ -89,6 +106,7 @@ let suite =
     [
       Alcotest.test_case "plain instance" `Quick test_plain_instance;
       Alcotest.test_case "vacuous when unsolvable" `Quick test_unsolvable_base_vacuous;
+      Alcotest.test_case "undecided base is not a pass" `Quick test_undecided_base_fails;
       Alcotest.test_case "derived map shape" `Quick test_derive_map_explicit;
       Alcotest.test_case "rounds validation" `Quick test_rounds_validation;
       Alcotest.test_case "test&set setting" `Quick test_tas_setting;
