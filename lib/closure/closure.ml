@@ -181,6 +181,8 @@ let reset_memo () =
 
 (* ---- the membership test (Definition 2) ---- *)
 
+exception Undecided_local_task of { sigma : Simplex.t; tau : Simplex.t }
+
 (* Raw membership with its witness map: the zero-round shortcut
    (simplices of Δ(σ) are always in Δ'(σ), Remark after Definition 2)
    needs no witness; a one-round membership carries the local-task
@@ -194,8 +196,7 @@ let compute_member ?node_limit ?should_stop ~op task ~sigma ~tau =
     with
     | Solvability.Solvable f -> (true, Some f)
     | Solvability.Unsolvable -> (false, None)
-    | Solvability.Undecided ->
-        failwith "Closure: local task solvability undecided (node limit)"
+    | Solvability.Undecided -> raise (Undecided_local_task { sigma; tau })
 
 (* ---- certificate store plumbing ---- *)
 

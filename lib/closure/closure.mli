@@ -15,6 +15,11 @@
     instead of re-running the solvability search, and entries that fail
     verification are quarantined and recomputed. *)
 
+exception Undecided_local_task of { sigma : Simplex.t; tau : Simplex.t }
+(** A membership search for [τ ∈ Δ'(σ)] hit the solver's node limit,
+    so Definition 2 cannot be decided for that candidate.  Raised
+    before anything is memoized or persisted for [σ]. *)
+
 val delta :
   ?node_limit:int -> ?should_stop:(unit -> bool) -> ?memo:bool ->
   op:Round_op.t -> Task.t -> Simplex.t ->
@@ -33,7 +38,8 @@ val delta :
     [Csp.Interrupted] escapes {e before} anything is memoized or
     persisted, so an interrupted enumeration never poisons the caches.
     @raise Csp.Interrupted when [should_stop] returns [true].
-    @raise Failure if some local-task instance is undecided. *)
+    @raise Undecided_local_task if some local-task instance is
+    undecided. *)
 
 val task : ?node_limit:int -> ?memo:bool -> op:Round_op.t -> Task.t -> Task.t
 (** The closure task [CL_M(Π) = (I, O', Δ')].  Its [outputs] complex

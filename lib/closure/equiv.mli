@@ -55,7 +55,8 @@ val decide :
     memo (the certificate store, when enabled, still applies).
     @raise Invalid_argument if [n < 1].
     @raise Csp.Interrupted when [should_stop] fires.
-    @raise Failure if an inner closure instance is undecided. *)
+    @raise Closure.Undecided_local_task if an inner closure instance
+    is undecided. *)
 
 val disagreement : outcome -> probe option
 (** The first probe whose fingerprints differ, if any. *)

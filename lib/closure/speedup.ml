@@ -78,29 +78,34 @@ let verify ?node_limit ?memo setting task ~rounds ~inputs =
   in
   let op = setting.closure_op_fn ~rounds in
   let closure_delta = Closure.delta ?node_limit ?memo ~op task in
-  let closure_direct =
-    match base with
-    | (Solvability.Unsolvable | Solvability.Undecided) as v -> v
-    | Solvability.Solvable _ ->
-        Solvability.decide ?node_limit ~inputs
-          ~protocol:(fun sigma -> setting.protocol_fn sigma (rounds - 1))
-          ~delta:closure_delta ()
+  let check f =
+    let closure_direct =
+      Solvability.decide ?node_limit ~inputs
+        ~protocol:(fun sigma -> setting.protocol_fn sigma (rounds - 1))
+        ~delta:closure_delta ()
+    in
+    let f' = derive_map setting ~task ~rounds ~inputs ~f in
+    let construction_valid =
+      List.for_all
+        (fun sigma ->
+          let p = setting.protocol_fn sigma (rounds - 1) in
+          let d = closure_delta sigma in
+          List.for_all
+            (fun facet ->
+              match Simplicial_map.apply_simplex f' facet with
+              | image -> Complex.mem image d
+              | exception (Not_found | Invalid_argument _) -> false)
+            (Complex.facets p))
+        inputs
+    in
+    { base; construction_valid; closure_direct }
   in
-  let construction_valid =
-    match base with
-    | Solvability.Unsolvable | Solvability.Undecided -> false
-    | Solvability.Solvable f ->
-        let f' = derive_map setting ~task ~rounds ~inputs ~f in
-        List.for_all
-          (fun sigma ->
-            let p = setting.protocol_fn sigma (rounds - 1) in
-            let d = closure_delta sigma in
-            List.for_all
-              (fun facet ->
-                match Simplicial_map.apply_simplex f' facet with
-                | image -> Complex.mem image d
-                | exception (Not_found | Invalid_argument _) -> false)
-              (Complex.facets p))
-          inputs
-  in
-  { base; construction_valid; closure_direct }
+  match base with
+  | Solvability.Unsolvable | Solvability.Undecided ->
+      { base; construction_valid = false; closure_direct = base }
+  | Solvability.Solvable f -> (
+      (* The closure itself is undecided when one of its membership
+         searches hits the node limit: neither check can be made. *)
+      try check f
+      with Closure.Undecided_local_task _ ->
+        { base; construction_valid = false; closure_direct = Solvability.Undecided })

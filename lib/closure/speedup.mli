@@ -35,7 +35,9 @@ type report = {
           solvable). *)
   closure_direct : Solvability.verdict;
       (** independent solver run: closure solvable in [t-1] rounds;
-          when [base] is not solvable, this is [base] itself. *)
+          when [base] is not solvable, this is [base] itself, and it is
+          [Undecided] when a closure membership search hit the node
+          limit. *)
 }
 
 val speedup_holds : report -> bool

@@ -431,5 +431,7 @@ let compute ~should_stop req =
     | Ok v -> Ok v
     | Error msg -> Error (Bad_request, msg)
     | exception Csp.Interrupted -> Error (Timeout, "deadline exceeded")
+    | exception Closure.Undecided_local_task _ ->
+        Error (Internal, "Closure: local task solvability undecided (node limit)")
     | exception Failure msg -> Error (Internal, msg)
     | exception Invalid_argument msg -> Error (Internal, msg)

@@ -6,7 +6,9 @@
     output complex [Δ(σ)], and specification
     - [Δ_{τ,σ}(v) = {v}] on vertices (solo processes are pinned to
       their τ-value),
-    - [Δ_{τ,σ}(τ') = proj_{ID(τ')}(Δ(σ))] on larger faces.
+    - [Δ_{τ,σ}(τ') = proj_{ID(τ')}(Δ(σ))] on larger faces, read from
+      {!Task.delta_proj}: the local tasks of every τ of one σ share one
+      physical complex per color set.
 
     [CL_M(Π)] membership of τ (Definition 2) is exactly one-round
     solvability of this task in M. *)

@@ -13,6 +13,9 @@ type t = {
   delta : Simplex.t -> Complex.t;
       (** [Δ(σ)]: the output simplices legal for input [σ], as a
           complex whose facets carry exactly the colors of [σ]. *)
+  delta_proj : Simplex.t -> int list -> Complex.t;
+      (** [proj_ids(Δ(σ))], memoized per (σ, color set); see
+          {!val-delta_proj}. *)
 }
 
 val make :
@@ -22,6 +25,12 @@ val make :
 val inputs : t -> Complex.t
 val outputs : t -> Complex.t
 val delta : t -> Simplex.t -> Complex.t
+
+val delta_proj : t -> Simplex.t -> int list -> Complex.t
+(** [delta_proj t σ ids] is [Complex.proj ids (delta t σ)], memoized
+    per (σ, color set) next to the [Δ(σ)] memo, so repeated calls
+    return one physical complex.  When [ids] covers every color of
+    [Δ(σ)] (for instance [ids = ID(σ)]) it is [delta t σ] itself. *)
 
 val input_simplices : t -> Simplex.t list
 (** Every simplex of the input complex (facets and faces); the

@@ -56,15 +56,30 @@ let all_simplices c =
     c.facets Simplex.Set.empty
   |> Simplex.Set.elements
 
+(* Whether the color-sorted vertex list carries exactly the sorted,
+   deduplicated colors [sel]: one walk, no allocation. *)
+let rec colored_exactly sel vs =
+  match (sel, vs) with
+  | [], [] -> true
+  | i :: sel, v :: vs -> Vertex.color v = i && colored_exactly sel vs
+  | _ -> false
+
+(* The solver asks for the table of a facet's color set on a Δ image
+   whose facets all carry that same set (a projected Δ(σ) onto the
+   colors of a protocol facet): there every facet is its own
+   projection, so the facet list is the answer, in the same order. *)
 let simplices_with_ids sel c =
   let sel = List.sort_uniq Int.compare sel in
-  Simplex.Set.fold
-    (fun f acc ->
-      if List.for_all (fun i -> Simplex.mem_color i f) sel then
-        Simplex.Set.add (Simplex.proj sel f) acc
-      else acc)
-    c.facets Simplex.Set.empty
-  |> Simplex.Set.elements
+  if Simplex.Set.for_all (fun f -> colored_exactly sel (Simplex.vertices f)) c.facets
+  then facets c
+  else
+    Simplex.Set.fold
+      (fun f acc ->
+        if List.for_all (fun i -> Simplex.mem_color i f) sel then
+          Simplex.Set.add (Simplex.proj sel f) acc
+        else acc)
+      c.facets Simplex.Set.empty
+    |> Simplex.Set.elements
 
 let dim c =
   if is_empty c then invalid_arg "Complex.dim: empty complex";

@@ -110,6 +110,72 @@ let prop_proj_subcomplex =
     (Gen.complex ()) (fun c ->
       Complex.subcomplex (Complex.proj [ 1; 2 ] c) c)
 
+(* [simplices_with_ids] against its definition: project every facet
+   that carries all of [sel] and collect the distinct results in set
+   order.  The generated complexes mix facets carrying exactly a color
+   set [cs] (the fast path when [sel = cs] and nothing else is added)
+   with random facets (mixed color sets, non-pure), and [sel] is [cs]
+   itself, a strict subset, a strict superset or an arbitrary set. *)
+let with_ids_reference sel c =
+  List.fold_left
+    (fun acc f ->
+      if List.for_all (fun i -> Simplex.mem_color i f) sel then
+        Simplex.Set.add (Simplex.proj sel f) acc
+      else acc)
+    Simplex.Set.empty (Complex.facets c)
+  |> Simplex.Set.elements
+
+let gen_with_ids_case =
+  let open QCheck2.Gen in
+  let colors = [ 1; 2; 3; 4 ] in
+  let subset l =
+    map
+      (fun keep -> List.filteri (fun i _ -> List.nth keep i) l)
+      (list_repeat (List.length l) bool)
+  in
+  let nonempty l =
+    subset l >>= function [] -> map (fun i -> [ i ]) (oneofl l) | s -> return s
+  in
+  nonempty colors >>= fun cs ->
+  let facet_on cs =
+    flatten_l (List.map (fun i -> map (fun x -> (i, Value.Int x)) (int_range 0 2)) cs)
+    >|= Simplex.of_list
+  in
+  let others = List.filter (fun i -> not (List.mem i cs)) (5 :: colors) in
+  let sel =
+    oneof
+      [
+        return cs;
+        (* strict subset: drop one color *)
+        map
+          (fun i -> if List.length cs = 1 then cs else List.filter (( <> ) i) cs)
+          (oneofl cs);
+        (* strict superset: add at least one outside color *)
+        map2
+          (fun i extra -> List.sort_uniq Int.compare ((i :: extra) @ cs))
+          (oneofl others) (subset others);
+        nonempty (5 :: colors);
+      ]
+  in
+  let pure = list_size (int_range 1 5) (facet_on cs) in
+  let extra =
+    oneof [ return []; list_size (int_range 1 3) (Gen.simplex ~max_color:5 ()) ]
+  in
+  triple sel pure extra >|= fun (sel, pure, extra) ->
+  (sel, Complex.of_facets (pure @ extra))
+
+let prop_simplices_with_ids =
+  QCheck2.Test.make ~name:"simplices_with_ids = per-facet projection" ~count:300
+    ~print:(fun (sel, c) ->
+      Format.asprintf "sel=[%s] %a"
+        (String.concat ";" (List.map string_of_int sel))
+        Complex.pp c)
+    gen_with_ids_case
+    (fun (sel, c) ->
+      List.equal Simplex.equal
+        (Complex.simplices_with_ids sel c)
+        (with_ids_reference sel c))
+
 let suite =
   ( "complex",
     [
@@ -125,4 +191,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_facets_maximal;
       QCheck_alcotest.to_alcotest prop_union_monotone;
       QCheck_alcotest.to_alcotest prop_proj_subcomplex;
+      QCheck_alcotest.to_alcotest prop_simplices_with_ids;
     ] )

@@ -2,10 +2,13 @@
    [Solvability.decide] builds one tuple table per (input, facet color
    set) and shares it across facets; the reference below is the
    unshared construction, one table per protocol facet rebuilt from
-   Δ(σ') through [Complex.simplices_with_ids].  Variables and
-   candidates are numbered exactly as [Solvability.decide] numbers them
-   (candidates then variables, input by input, in vertex order), so the
-   two must agree on the witness map, not just on the verdict. *)
+   Δ(σ') through [Complex.simplices_with_ids].  For local tasks the
+   reference also builds Δ itself from Definition 1, instead of reading
+   the projections [Local_task.make] shares across candidates.
+   Variables and candidates are numbered exactly as
+   [Solvability.decide] numbers them (candidates then variables, input
+   by input, in vertex order), so the two must agree on the witness
+   map, not just on the verdict. *)
 
 let decide_unshared ~inputs ~protocol ~delta =
   let var_of = Vertex.Tbl.create 64 and vars = ref [] in
@@ -100,9 +103,16 @@ let prop_random_tasks name random_task =
       agree ~inputs:(Task.input_simplices t) ~protocol:(immediate rounds)
         ~delta:(Task.delta t))
 
+(* Δ_{τ,σ} of Definition 1 built directly: a vertex is pinned to
+   itself, a larger face τ' may map anywhere in proj_{ID(τ')}(Δ(σ)). *)
+let local_delta task sigma tau' =
+  match Simplex.vertices tau' with
+  | [ v ] -> Complex.of_simplex (Simplex.singleton v)
+  | _ -> Complex.proj (Simplex.ids tau') (Task.delta task sigma)
+
 (* Every τ of the n = 3 consensus closure enumeration under Immediate
-   that needs a solver run (τ ∉ Δ(σ)), decided exactly as
-   [Solvability.local_task_solvable] decides it. *)
+   that needs a solver run (τ ∉ Δ(σ)): [Solvability.local_task_solvable]
+   against the unshared tables over the directly built local Δ. *)
 let test_consensus_closure_taus () =
   let task = Consensus.binary ~n:3 in
   let one_round = Round_op.facets (Round_op.plain Model.Immediate) in
@@ -114,18 +124,33 @@ let test_consensus_closure_taus () =
         (fun tau ->
           if not (Complex.mem tau zero) then begin
             incr checked;
-            let local = Local_task.make task ~sigma ~tau in
             Alcotest.(check bool)
               (Printf.sprintf "σ=%s τ=%s" (Simplex.to_string sigma)
                  (Simplex.to_string tau))
               true
-              (agree ~inputs:(Simplex.faces tau)
-                 ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
-                 ~delta:(Task.delta local))
+              (same_verdict
+                 (Solvability.local_task_solvable ~one_round task ~sigma ~tau)
+                 (decide_unshared ~inputs:(Simplex.faces tau)
+                    ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
+                    ~delta:(local_delta task sigma)))
           end)
         (Task.chromatic_output_sets task sigma))
     (List.filter (fun s -> Simplex.card s = 3) (Task.input_simplices task));
   Alcotest.(check bool) "some τ needed a solver run" true (!checked > 0)
+
+(* Two candidates of one σ that agree on colors {1, 2} read the same
+   physical Δ on that shared face: the projection of Δ(σ) is built once
+   per color set, not once per τ. *)
+let test_local_delta_shared () =
+  let task = Consensus.binary ~n:3 in
+  let triangle x = Simplex.of_list [ (1, Value.Int 0); (2, Value.Int 1); (3, Value.Int x) ] in
+  let sigma = triangle 0 and tau = triangle in
+  let face = Simplex.proj [ 1; 2 ] (tau 0) in
+  let d0 = Task.delta (Local_task.make task ~sigma ~tau:(tau 0)) face
+  and d1 = Task.delta (Local_task.make task ~sigma ~tau:(tau 1)) face in
+  Alcotest.check (Alcotest.testable Complex.pp Complex.equal) "Definition 1"
+    (local_delta task sigma face) d0;
+  Alcotest.(check bool) "one physical Δ on the shared face" true (d0 == d1)
 
 (* One input's protocol facets with three different color sets.  The
    protocol complex of σ is σ's own 1-skeleton, and Δ(σ) is a graph of
@@ -175,6 +200,7 @@ let suite =
         (prop_random_tasks "shared = unshared tables (random 0/1/2 tasks)"
            Test_random_tasks.random_task);
       Alcotest.test_case "n=3 consensus closure τs" `Quick test_consensus_closure_taus;
+      Alcotest.test_case "local Δ shared across τ" `Quick test_local_delta_shared;
       Alcotest.test_case "facets with different color sets" `Quick
         test_mixed_color_sets;
     ] )

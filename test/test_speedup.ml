@@ -41,6 +41,36 @@ let test_undecided_base_fails () =
   Alcotest.(check bool) "passes without the limit" true
     (Speedup.speedup_holds (Speedup.verify setting task ~rounds:1 ~inputs))
 
+let test_undecided_closure_member () =
+  (* The base search fits in one node, but some membership search of
+     the closure does not: the closure is undecided, so the check is
+     neither a pass nor an escaping exception, and the undecided σ
+     leaves no memo entry behind.  The memo is emptied and the store
+     switched off first, so the searches really run. *)
+  let task = Approx_agreement.task ~n:2 ~m:3 ~eps:(Frac.make 1 3) in
+  let setting = Speedup.of_model Model.Immediate in
+  let inputs = binary_inputs 2 in
+  Fun.protect ~finally:Cert_store.unset_dir (fun () ->
+      Cert_store.set_dir None;
+      Closure.reset_memo ();
+      let r = Speedup.verify ~node_limit:1 setting task ~rounds:1 ~inputs in
+      let undecided = function Solvability.Undecided -> true | _ -> false in
+      Alcotest.(check bool) "base solvable" true (Solvability.is_solvable r.Speedup.base);
+      Alcotest.(check bool) "closure direct undecided" true
+        (undecided r.Speedup.closure_direct);
+      Alcotest.(check bool) "construction not valid" false r.Speedup.construction_valid;
+      Alcotest.(check bool) "not a pass" false (Speedup.speedup_holds r);
+      let op = Speedup.closure_op setting ~rounds:1 in
+      let sigma = Simplex.of_list [ (1, Value.frac 0 1); (2, Value.frac 1 1) ] in
+      Alcotest.(check bool) "σ's membership search is undecided" true
+        (match Closure.delta ~node_limit:1 ~memo:false ~op task sigma with
+        | exception Closure.Undecided_local_task _ -> true
+        | _ -> false);
+      let misses = (Closure.memo_stats ()).Closure.misses in
+      ignore (Closure.delta ~op task sigma);
+      Alcotest.(check int) "no memo entry for σ" (misses + 1)
+        (Closure.memo_stats ()).Closure.misses)
+
 let test_derive_map_explicit () =
   (* The derived f' maps each (t-1)-round vertex like the solo
      extension: check on a solved 1-round instance that f' at round 0
@@ -107,6 +137,8 @@ let suite =
       Alcotest.test_case "plain instance" `Quick test_plain_instance;
       Alcotest.test_case "vacuous when unsolvable" `Quick test_unsolvable_base_vacuous;
       Alcotest.test_case "undecided base is not a pass" `Quick test_undecided_base_fails;
+      Alcotest.test_case "undecided closure member is not a pass" `Quick
+        test_undecided_closure_member;
       Alcotest.test_case "derived map shape" `Quick test_derive_map_explicit;
       Alcotest.test_case "rounds validation" `Quick test_rounds_validation;
       Alcotest.test_case "test&set setting" `Quick test_tas_setting;

@@ -150,6 +150,52 @@ let test_local_task () =
        "Local_task.make: tau is not a chromatic set of V(Delta(sigma))")
     (fun () -> ignore (Local_task.make t ~sigma ~tau:bad))
 
+(* The memoized projections agree with projecting Δ(σ) afresh, for
+   every input simplex and every color set over 1..n (subsets of ID(σ),
+   sets reaching outside it, and ID(σ) itself, which must return Δ(σ)
+   physically); a second request returns the same physical complex. *)
+let test_delta_proj () =
+  let values k = List.init k (fun i -> Value.Int i) in
+  let tasks =
+    List.concat_map
+      (fun n ->
+        [
+          Consensus.binary ~n;
+          Consensus.relaxed ~n ~values:(values 2);
+          Set_agreement.task ~n ~k:2 ~values:(values 3);
+          Approx_agreement.task ~n ~m:4 ~eps:(Frac.make 1 4);
+          Approx_agreement.liberal ~n ~m:4 ~eps:(Frac.make 1 4);
+        ])
+      [ 2; 3 ]
+  in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | i :: rest ->
+        let tails = subsets rest in
+        tails @ List.map (fun tl -> i :: tl) tails
+  in
+  List.iter
+    (fun t ->
+      let color_sets = List.filter (( <> ) []) (subsets (List.init t.Task.arity succ)) in
+      List.iter
+        (fun sigma ->
+          let d = Task.delta t sigma in
+          List.iter
+            (fun ids ->
+              let label =
+                Printf.sprintf "%s σ=%s ids=%s" t.Task.name (Simplex.to_string sigma)
+                  (String.concat "," (List.map string_of_int ids))
+              in
+              let p = Task.delta_proj t sigma ids in
+              Alcotest.check complex label (Complex.proj ids d) p;
+              Alcotest.(check bool) (label ^ " memoized") true
+                (Task.delta_proj t sigma ids == p))
+            color_sets;
+          Alcotest.(check bool) "full color set is Δ(σ) itself" true
+            (Task.delta_proj t sigma (Simplex.ids sigma) == d))
+        (Task.input_simplices t))
+    tasks
+
 let test_chromatic_output_sets () =
   let t = Consensus.binary ~n:2 in
   let sigma = Simplex.of_list [ (1, Value.Int 0); (2, Value.Int 1) ] in
@@ -179,6 +225,7 @@ let suite =
       Alcotest.test_case "grids" `Quick test_grid;
       Alcotest.test_case "k-set agreement" `Quick test_set_agreement;
       Alcotest.test_case "local tasks (Def 1)" `Quick test_local_task;
+      Alcotest.test_case "memoized Δ projections" `Quick test_delta_proj;
       Alcotest.test_case "chromatic output sets" `Quick test_chromatic_output_sets;
       Alcotest.test_case "restrict/rename" `Quick test_restrict_and_name;
     ] )
