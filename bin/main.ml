@@ -1076,26 +1076,33 @@ let () =
         s.Cert_store.hits s.Cert_store.misses s.Cert_store.writes
         s.Cert_store.corrupt;
       (* Scheduler counters on their own greppable line: contention
-         regressions (no steals, lopsided domains, runaway flushes)
+         regressions (no steals, lopsided domains)
          should be observable, not inferred from wall clocks. *)
       let p = Pool.stats () in
       Printf.eprintf
         "pool-stats: batches=%d chunks=%d items=%d steals=%d \
-         stolen_chunks=%d flushes=%d domain_chunks=%s\n"
+         stolen_chunks=%d domain_chunks=%s\n"
         p.Pool.batches p.Pool.chunks p.Pool.items p.Pool.steals
-        p.Pool.stolen_chunks p.Pool.flushes
+        p.Pool.stolen_chunks
         (match p.Pool.domain_chunks with
         | [] -> "-"
         | dc ->
             String.concat ","
               (List.map (fun (slot, n) -> Printf.sprintf "%d:%d" slot n) dc));
-      (* Replication counters (docs/FLEET.md): the fleet-smoke CI job
-         greps pulls>0 to pin pull-on-miss. *)
+      (* Replication counters (docs/FLEET.md), printed only when there
+         was replication traffic: the fleet-smoke CI job greps pulls>0
+         to pin pull-on-miss. *)
       let r = Cert_store.repl_stats () in
-      Printf.eprintf
-        "repl-stats: pushes=%d push_failures=%d pulls=%d pull_misses=%d \
-         installs=%d rejects=%d\n"
-        r.Cert_store.pushes r.Cert_store.push_failures r.Cert_store.pulls
-        r.Cert_store.pull_misses r.Cert_store.installs r.Cert_store.rejects
+      if
+        r.Cert_store.pushes + r.Cert_store.push_failures + r.Cert_store.pulls
+        + r.Cert_store.pull_misses + r.Cert_store.installs
+        + r.Cert_store.rejects
+        > 0
+      then
+        Printf.eprintf
+          "repl-stats: pushes=%d push_failures=%d pulls=%d pull_misses=%d \
+           installs=%d rejects=%d\n"
+          r.Cert_store.pushes r.Cert_store.push_failures r.Cert_store.pulls
+          r.Cert_store.pull_misses r.Cert_store.installs r.Cert_store.rejects
   | Some _ | None -> ());
   exit code

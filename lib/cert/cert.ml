@@ -629,3 +629,49 @@ let verify env cert =
             "cell (%s, %s) records keys that do not match its input simplices"
             cell.cell_op cell.cell_task)
         (Ok ()) a.atlas_cells
+
+(* ---- store read-through ---- *)
+
+let src = Logs.Src.create "speedup.cert" ~doc:"Certificate read-through"
+
+module Log = (val Logs.src_log src : Logs.LOG)
+
+(* The store is addressed by query digest, so an entry answers the
+   query exactly when its own key is that digest; a misfiled entry
+   (another query's valid certificate under this key) is set aside
+   like a forged one. *)
+let load_verified ~env query project =
+  let addr = query_key query in
+  match Store.load addr with
+  | None -> None
+  | Some sexp -> (
+      let reject () =
+        Store.quarantine addr;
+        None
+      in
+      match decode sexp with
+      | Error msg ->
+          Log.warn (fun m -> m "stale/corrupt certificate %s: %s" addr msg);
+          reject ()
+      | Ok cert when not (String.equal (key cert) addr) -> reject ()
+      | Ok cert -> (
+          match verify env cert with
+          | Error e ->
+              Log.warn (fun m ->
+                  m "certificate %s failed verification: %s" addr
+                    (error_message e));
+              reject ()
+          | Ok () -> (
+              match project cert with Some v -> Some v | None -> reject ())))
+
+let cached ~env query project ~compute ~certify =
+  if not (Store.enabled ()) then compute ()
+  else
+    match load_verified ~env query project with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        Option.iter
+          (fun cert -> Store.save ~key:(query_key query) (encode cert))
+          (certify v);
+        v

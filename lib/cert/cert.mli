@@ -206,3 +206,26 @@ val verify : env -> t -> (unit, error) result
     {e without} rerunning any search — only simplicial-map
     well-formedness, chromaticity, carrier containment, and
     Δ-membership checks. *)
+
+(** {1 Store read-through}
+
+    The one path by which the engine reads its own results back from
+    the store ([Cert.Store]).  See docs/CERTIFICATES.md. *)
+
+val load_verified : env:env -> query -> (t -> 'a option) -> 'a option
+(** [load_verified ~env q project] loads the entry stored under
+    [query_key q] and accepts it only if it decodes, its own {!key} is
+    [query_key q] (so a valid certificate of another query misfiled
+    under this key is rejected), it passes {!verify} against [env],
+    and [project] maps it to an answer.  Any other entry is
+    quarantined ({!Cert_store.quarantine}, counted as corrupt) and
+    reported as a miss. *)
+
+val cached :
+  env:env -> query -> (t -> 'a option) -> compute:(unit -> 'a) ->
+  certify:('a -> t option) -> 'a
+(** [cached ~env q project ~compute ~certify]: the answer of a
+    {!load_verified} hit, otherwise [compute ()], persisted under
+    [query_key q] as [certify]'s certificate — [None] persists nothing
+    (an undecided solve, a negative fixed point).  Just [compute ()]
+    when the store is disabled. *)

@@ -107,19 +107,14 @@ type memo_stats = {
 }
 
 val memo_stats : unit -> memo_stats
-(** The shared memo is an immutable snapshot read through an
-    [Atomic.t] pointer (no lock on the hot path); writes are staged in
-    per-domain caches and published in batches at pool chunk
-    boundaries, so [entries] and the {!Atomic.t}-backed counters are
-    exact whenever no pool batch is in flight — in particular after
-    every [Pool.*] combinator has returned.  [enumerations] is
-    incremented directly on the caller before the parallel fan-out, so
-    a warm-store run still reports [enumerations=0] at any job
-    count. *)
+(** The memo is one table guarded by a mutex and the counters are
+    atomic, so every field is exact at all times, including
+    while pool batches are in flight.  [enumerations] is incremented
+    on the caller before the parallel fan-out, so a warm-store run
+    reports [enumerations=0] at any job count. *)
 
 val reset_memo : unit -> unit
 (** Clear the memo tables and zero the counters (store stats are
-    tracked separately by {!Cert_store.stats}).  Resetting bumps an
-    internal epoch: per-domain caches staged before the reset can
-    neither serve stale entries nor resurrect them into the fresh
-    table. *)
+    tracked separately by {!Cert_store.stats}).  Safe to call while
+    other domains are computing: an entry they insert afterwards is
+    still the Δ'(σ) of its key. *)

@@ -2,10 +2,6 @@
    the closure/solver pipeline over both sides of a fixed task battery
    and comparing fingerprints.  See equiv.mli for the contract. *)
 
-let src = Logs.Src.create "speedup.equiv" ~doc:"Model-algebra equivalence"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type probe = { label : string; lhs : string; rhs : string }
 
 type outcome = {
@@ -119,34 +115,6 @@ let memo_table : (string * string * int, bool * probe list) Hashtbl.t =
   Hashtbl.create 16
 [@@lint.allow "R1: accesses guarded by memo_lock (see comment above)"]
 
-(* Store read-through, mirroring Closure's: accept an entry only after
-   [Cert.verify] (which for Equivalence replays the structural checks
-   against the canonical grammar); anything else is quarantined and
-   recomputed. *)
-let load_verified ~key ~select =
-  match Cert_store.load key with
-  | None -> None
-  | Some sexp -> (
-      match Cert.decode sexp with
-      | Error msg ->
-          Log.warn (fun m -> m "stale/corrupt certificate %s: %s" key msg);
-          Cert_store.quarantine key;
-          None
-      | Ok cert -> (
-          match select cert with
-          | None ->
-              Cert_store.quarantine key;
-              None
-          | Some v -> (
-              match Cert.verify Cert_registry.env cert with
-              | Ok () -> Some v
-              | Error e ->
-                  Log.warn (fun m ->
-                      m "certificate %s failed verification: %s" key
-                        (Cert.error_message e));
-                  Cert_store.quarantine key;
-                  None)))
-
 let probes_of_triples triples =
   List.map (fun (label, lhs, rhs) : probe -> { label; lhs; rhs }) triples
 
@@ -187,41 +155,31 @@ let decide ?node_limit ?should_stop ?(memo = true) ~n lhs rhs =
     match memo_find () with
     | Some cached -> orient cached
     | None ->
-        let key = Cert.query_key (Cert.Q_equiv { lhs = an; rhs = bn; n }) in
-        let select = function
-          | Cert.Equivalence e
-            when String.equal e.Cert.lhs an
-                 && String.equal e.Cert.rhs bn
-                 && e.Cert.n = n ->
-              Some (e.Cert.equivalent, probes_of_triples e.Cert.probes)
-          | _ -> None
-        in
-        let from_store =
-          if not (Cert_store.enabled ()) then None
-          else load_verified ~key ~select
-        in
+        (* Store read-through: [Cert.verify] replays the structural
+           checks against the canonical grammar. *)
         let result =
-          match from_store with
-          | Some r -> r
-          | None ->
+          Cert.cached ~env:Cert_registry.env
+            (Cert.Q_equiv { lhs = an; rhs = bn; n })
+            (function
+              | Cert.Equivalence e ->
+                  Some (e.Cert.equivalent, probes_of_triples e.Cert.probes)
+              | _ -> None)
+            ~compute:(fun () ->
               let probes = compute_probes ?node_limit ?should_stop ~n a b in
-              let equivalent =
-                List.for_all
+              ( List.for_all
                   (fun (p : probe) -> String.equal p.lhs p.rhs)
-                  probes
-              in
-              if Cert_store.enabled () then
-                Cert_store.save ~key
-                  (Cert.encode
-                     (Cert.Equivalence
-                        {
-                          lhs = an;
-                          rhs = bn;
-                          n;
-                          equivalent;
-                          probes = triples_of_probes probes;
-                        }));
-              (equivalent, probes)
+                  probes,
+                probes ))
+            ~certify:(fun (equivalent, probes) ->
+              Some
+                (Cert.Equivalence
+                   {
+                     lhs = an;
+                     rhs = bn;
+                     n;
+                     equivalent;
+                     probes = triples_of_probes probes;
+                   }))
         in
         if memo then
           Mutex.protect memo_lock (fun () ->

@@ -124,7 +124,6 @@ type stats = {
   items : int;
   steals : int;
   stolen_chunks : int;
-  flushes : int;
   domain_chunks : (int * int) list;
 }
 
@@ -145,9 +144,6 @@ let st_steals = ref 0
 let st_stolen = ref 0
 [@@lint.allow "R1: stats accumulator; every access is under [stats_lock]"]
 
-let st_flushes = ref 0
-[@@lint.allow "R1: stats accumulator; every access is under [stats_lock]"]
-
 let st_domain : (int, int) Hashtbl.t = Hashtbl.create 8
 [@@lint.allow "R1: stats accumulator; every access is under [stats_lock]"]
 
@@ -159,7 +155,6 @@ let stats () =
         items = !st_items;
         steals = !st_steals;
         stolen_chunks = !st_stolen;
-        flushes = !st_flushes;
         domain_chunks =
           List.sort
             (fun (a, _) (b, _) -> Int.compare a b)
@@ -173,43 +168,18 @@ let reset_stats () =
       st_items := 0;
       st_steals := 0;
       st_stolen := 0;
-      st_flushes := 0;
       Hashtbl.reset st_domain)
 
-let merge_stats ~slot ~chunks ~items ~steals ~stolen ~flushes =
-  if chunks > 0 || steals > 0 || flushes > 0 then
+let merge_stats ~slot ~chunks ~items ~steals ~stolen =
+  if chunks > 0 || steals > 0 then
     Mutex.protect stats_lock (fun () ->
         st_chunks := !st_chunks + chunks;
         st_items := !st_items + items;
         st_steals := !st_steals + steals;
         st_stolen := !st_stolen + stolen;
-        st_flushes := !st_flushes + flushes;
         Hashtbl.replace st_domain slot
           (chunks
           + match Hashtbl.find_opt st_domain slot with Some n -> n | None -> 0))
-
-(* ---- chunk-boundary flush hooks ---- *)
-
-(* Clients with per-domain write-behind caches (the Closure memo)
-   register a hook; every participant runs the hooks after each chunk
-   it executes, so batched publication happens once per chunk rather
-   than once per work item, and everything a participant produced is
-   published before the batch's closing handshake. *)
-let flush_hooks : (unit -> unit) list Atomic.t = Atomic.make []
-
-let register_flush f =
-  let rec add () =
-    let hooks = Atomic.get flush_hooks in
-    if not (Atomic.compare_and_set flush_hooks hooks (f :: hooks)) then add ()
-  in
-  add ()
-
-let run_flush_hooks () =
-  match Atomic.get flush_hooks with
-  | [] -> false
-  | hooks ->
-      List.iter (fun f -> f ()) hooks;
-      true
 
 let rec worker_loop my_gen =
   Mutex.lock mutex;
@@ -339,8 +309,7 @@ let parallel_chunks ~grain ~jobs:n ~len process =
           let my_chunks = ref 0
           and my_items = ref 0
           and my_steals = ref 0
-          and my_stolen = ref 0
-          and my_flushes = ref 0 in
+          and my_stolen = ref 0 in
           let run_chunk c =
             incr my_chunks;
             let lo = c * chunk in
@@ -350,8 +319,7 @@ let parallel_chunks ~grain ~jobs:n ~len process =
              with exn ->
                let bt = Printexc.get_raw_backtrace () in
                if Atomic.compare_and_set error None (Some (exn, bt)) then
-                 Atomic.set stop true);
-            if run_flush_hooks () then incr my_flushes
+                 Atomic.set stop true)
           in
           (* Phase 1: drain the own deque back-to-front. *)
           let continue = ref true in
@@ -384,7 +352,7 @@ let parallel_chunks ~grain ~jobs:n ~len process =
           in
           steal_loop ();
           merge_stats ~slot ~chunks:!my_chunks ~items:!my_items
-            ~steals:!my_steals ~stolen:!my_stolen ~flushes:!my_flushes
+            ~steals:!my_steals ~stolen:!my_stolen
         end);
     match Atomic.get error with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt

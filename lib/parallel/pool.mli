@@ -89,18 +89,6 @@ val in_parallel_region : unit -> bool
     worker domain, or the submitter inside one of its own batches).
     Combinators consult this to flatten nested parallelism. *)
 
-val register_flush : (unit -> unit) -> unit
-(** Register a chunk-boundary hook.  Every batch participant runs all
-    registered hooks after each chunk it executes, so a client with a
-    per-domain write-behind cache (the {!Closure} memo) publishes its
-    pending entries once per chunk — and, because the last chunk a
-    participant runs is followed by a hook round before the batch's
-    closing handshake, everything produced inside a batch is published
-    before the submitting combinator returns.  Hooks must not raise
-    and must be cheap when there is nothing to flush; they run on the
-    participant's own domain.  Registration is append-only and
-    process-wide. *)
-
 (** {2 Observability}
 
     Cumulative counters over all batches since process start (or the
@@ -115,7 +103,6 @@ type stats = {
   items : int;  (** work items covered by those chunks *)
   steals : int;  (** successful steal operations *)
   stolen_chunks : int;  (** chunks moved by those steals *)
-  flushes : int;  (** chunk-boundary flush-hook rounds that ran *)
   domain_chunks : (int * int) list;
       (** chunks executed per participant slot, sorted by slot; slot 0
           is the first participant through the batch gate (usually the

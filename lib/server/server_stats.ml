@@ -142,7 +142,6 @@ let snapshot t =
             ("items", Jsonl.Int p.Pool.items);
             ("steals", Jsonl.Int p.Pool.steals);
             ("stolen_chunks", Jsonl.Int p.Pool.stolen_chunks);
-            ("flushes", Jsonl.Int p.Pool.flushes);
             ( "domain_chunks",
               Jsonl.List
                 (List.map

@@ -156,10 +156,6 @@ let task_in_model ?node_limit ?should_stop ?inputs model task ~rounds =
   then compute ()
   else
     let model_name = Model.name model in
-    let key =
-      Cert.query_key
-        (Cert.Q_solve { model_name; task_name = task.Task.name; rounds; inputs })
-    in
     let env =
       {
         Cert.task_of_name =
@@ -170,67 +166,21 @@ let task_in_model ?node_limit ?should_stop ?inputs model task ~rounds =
             if n = model_name then Some (Model.protocol_complex model) else None);
       }
     in
-    let stored =
-      match Cert_store.load key with
-      | None -> None
-      | Some sexp -> (
-          match Cert.decode sexp with
-          | Error msg ->
-              Log.warn (fun m -> m "stale/corrupt certificate %s: %s" key msg);
-              Cert_store.quarantine key;
-              None
-          | Ok (Cert.Solution s as cert)
-            when s.Cert.model_name = model_name
-                 && s.Cert.task_name = task.Task.name
-                 && s.Cert.rounds = rounds
-                 && List.length s.Cert.inputs = List.length inputs
-                 && List.for_all2 Simplex.equal s.Cert.inputs inputs -> (
-              match Cert.verify env cert with
-              | Ok () ->
-                  if s.Cert.verdict then
-                    Option.map (fun f -> Solvable f) s.Cert.map
-                  else Some Unsolvable
-              | Error e ->
-                  Log.warn (fun m ->
-                      m "certificate %s failed verification: %s" key
-                        (Cert.error_message e));
-                  Cert_store.quarantine key;
-                  None)
-          | Ok _ ->
-              Cert_store.quarantine key;
-              None)
+    let solution verdict map =
+      Cert.Solution
+        { model_name; task_name = task.Task.name; rounds; inputs; verdict; map }
     in
-    match stored with
-    | Some verdict -> verdict
-    | None ->
-        let verdict = compute () in
-        (match verdict with
-        | Solvable f ->
-            Cert_store.save ~key
-              (Cert.encode
-                 (Cert.Solution
-                    {
-                      model_name;
-                      task_name = task.Task.name;
-                      rounds;
-                      inputs;
-                      verdict = true;
-                      map = Some f;
-                    }))
-        | Unsolvable ->
-            Cert_store.save ~key
-              (Cert.encode
-                 (Cert.Solution
-                    {
-                      model_name;
-                      task_name = task.Task.name;
-                      rounds;
-                      inputs;
-                      verdict = false;
-                      map = None;
-                    }))
-        | Undecided -> ());
-        verdict
+    Cert.cached ~env
+      (Cert.Q_solve { model_name; task_name = task.Task.name; rounds; inputs })
+      (function
+        | Cert.Solution { verdict = true; map = Some f; _ } -> Some (Solvable f)
+        | Cert.Solution { verdict = false; _ } -> Some Unsolvable
+        | _ -> None)
+      ~compute
+      ~certify:(function
+        | Solvable f -> Some (solution true (Some f))
+        | Unsolvable -> Some (solution false None)
+        | Undecided -> None)
 
 let task_in_augmented ?node_limit ?should_stop ?inputs ~box ~alpha task ~rounds =
   let inputs =

@@ -61,3 +61,33 @@ let ordered_partition ~ids : Ordered_partition.t Gen.t =
 
 let frac_print q = Frac.to_string q
 let simplex_print s = Simplex.to_string s
+
+(* ---- random 2-process tasks ---- *)
+
+let input_values = [ Value.Int 0; Value.Int 1 ]
+let output_values = [ Value.Int 0; Value.Int 1; Value.Int 2 ]
+
+(* A random task: for each input simplex, a random non-empty set of
+   chromatic output assignments over its colors.  Solo inputs keep at
+   least one output; nothing else is assumed (Δ need not be a carrier
+   map — the paper's Definition 2 does not require it). *)
+let random_task seed =
+  let rng = Random.State.make [| seed |] in
+  let inputs = Combinatorics.full_input_complex 2 input_values in
+  let all_inputs = Complex.all_simplices inputs in
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun sigma ->
+      let candidates = Combinatorics.assignments (Simplex.ids sigma) output_values in
+      let chosen = List.filter (fun _ -> Random.State.bool rng) candidates in
+      let chosen = if chosen = [] then [ List.hd candidates ] else chosen in
+      Hashtbl.replace table (Simplex.to_string sigma) (Complex.of_facets chosen))
+    all_inputs;
+  Task.make
+    ~name:(Printf.sprintf "random-task-%d" seed)
+    ~arity:2 ~inputs:(lazy inputs)
+    ~outputs:(lazy (Combinatorics.full_input_complex 2 output_values))
+    ~delta:(fun sigma ->
+      match Hashtbl.find_opt table (Simplex.to_string sigma) with
+      | Some c -> c
+      | None -> invalid_arg "random task: unknown input")

@@ -431,6 +431,218 @@ let test_unpersistent_ops_stay_out () =
         "no certificates for session-local operators" []
         (List.map fst (Cert_store.entries ())))
 
+(* ---- the read-through ([Cert.cached]) at every site ---- *)
+
+let without_store f =
+  Cert_store.set_dir None;
+  Fun.protect ~finally:Cert_store.unset_dir f
+
+(* Plant [bad] under [query]'s key and run [site]: the entry must be
+   quarantined (out of the index, counted as corrupt) and the answer
+   must be the honest one, computed with the store off. *)
+let check_rejected ~name ~equal ~query ~bad site =
+  let honest =
+    without_store (fun () ->
+        Closure.reset_memo ();
+        site ())
+  in
+  with_store (fun _dir ->
+      Closure.reset_memo ();
+      let key = Cert.query_key query in
+      let planted = Cert.encode bad in
+      Cert_store.save ~key planted;
+      Cert_store.reset_stats ();
+      let got = site () in
+      Alcotest.(check bool) (name ^ ": honest answer") true (equal honest got);
+      Alcotest.(check int) (name ^ ": counted corrupt") 1
+        (Cert_store.stats ()).Cert_store.corrupt;
+      Alcotest.(check bool) (name ^ ": planted entry left the index") false
+        (List.exists
+           (fun (k, _) ->
+             match Cert_store.load_local k with
+             | Some sexp -> Cert_sexp.equal sexp planted
+             | None -> false)
+           (Cert_store.entries ())))
+
+(* One forged entry (fails [Cert.verify]) and one misfiled entry (a
+   valid certificate of another query) per site. *)
+let check_site ~name ~equal ~query ~forged ~misfiled site =
+  check_verify (name ^ ": misfiled entry is itself valid") `Ok misfiled;
+  check_verify (name ^ ": forged entry is invalid") `Invalid forged;
+  check_rejected ~name:(name ^ " (forged)") ~equal ~query ~bad:forged site;
+  check_rejected ~name:(name ^ " (misfiled)") ~equal ~query ~bad:misfiled site
+
+let test_read_through_membership () =
+  let m = Lazy.force genuine_membership in
+  (* tau_member: τ at spread 9ε is no member; the forgery claims a
+     zero-round membership for it. *)
+  let t9 = Approx_agreement.task ~n:2 ~m:9 ~eps:(Frac.make 1 9) in
+  let far = Simplex.of_list [ (1, Value.frac 0 1); (2, Value.frac 1 1) ] in
+  let near = Simplex.of_list [ (1, Value.frac 0 1); (2, Value.frac 1 9) ] in
+  check_site ~name:"tau_member" ~equal:Bool.equal
+    ~query:
+      (Cert.Q_member
+         {
+           op_name = Round_op.name op;
+           task_name = t9.Task.name;
+           sigma = aa_sigma;
+           tau = far;
+         })
+    ~forged:
+      (Cert.Membership
+         {
+           op_name = Round_op.name op;
+           task_name = t9.Task.name;
+           sigma = aa_sigma;
+           tau = far;
+           member = true;
+           witness = None;
+         })
+    ~misfiled:
+      (Cert.Membership
+         {
+           op_name = Round_op.name op;
+           task_name = t9.Task.name;
+           sigma = aa_sigma;
+           tau = near;
+           member = true;
+           witness = None;
+         })
+    (fun () -> Closure.tau_member ~op t9 ~sigma:aa_sigma ~tau:far);
+  (* witness: the forgery redirects every image off the grid; the
+     misfiled entry is a valid zero-round membership of another τ,
+     which would otherwise be recomputed without a quarantine. *)
+  let zero_round =
+    List.find
+      (fun t -> not (Simplex.equal t m.Cert.tau))
+      (Complex.facets (Task.delta aa aa_sigma))
+  in
+  let tampered =
+    Simplicial_map.of_assoc
+      (List.map
+         (fun (v, w) -> (v, Vertex.make (Vertex.color w) (Value.Int 999)))
+         (Simplicial_map.graph (Option.get m.Cert.witness)))
+  in
+  check_site ~name:"witness" ~equal:(Option.equal Simplicial_map.equal)
+    ~query:(Cert.query_of (Cert.Membership m))
+    ~forged:(Cert.Membership { m with witness = Some tampered })
+    ~misfiled:
+      (Cert.Membership { m with tau = zero_round; member = true; witness = None })
+    (fun () -> Closure.witness ~op aa ~sigma:aa_sigma ~tau:m.Cert.tau)
+
+(* The input simplices of one process, where Δ' = Δ. *)
+let solo_sigmas task =
+  List.filter (fun s -> Simplex.card s = 1) (Task.input_simplices task)
+
+let test_read_through_enumeration () =
+  let m = Lazy.force genuine_membership in
+  let solo = List.hd (solo_sigmas aa) in
+  check_site ~name:"delta" ~equal:Complex.equal
+    ~query:(Cert.query_of (Lazy.force genuine_enumeration))
+    ~forged:
+      (Cert.Enumeration
+         {
+           op_name = m.Cert.op_name;
+           task_name = m.Cert.task_name;
+           sigma = aa_sigma;
+           members = [ (m.Cert.tau, None) ];
+         })
+    ~misfiled:
+      (Cert.Enumeration
+         {
+           op_name = m.Cert.op_name;
+           task_name = m.Cert.task_name;
+           sigma = solo;
+           members =
+             List.map
+               (fun tau -> (tau, Closure.witness ~op aa ~sigma:solo ~tau))
+               (Complex.facets (Closure.delta ~op aa solo));
+         })
+    (fun () -> Closure.delta ~op aa aa_sigma)
+
+let test_read_through_fixed_point () =
+  (* ε-AA is no fixed point: an accepted entry would flip the answer.
+     The misfiled entry is the (valid) fixed point on its solo inputs
+     alone. *)
+  let sigmas = Task.input_simplices aa in
+  let fixed_point task per_sigma =
+    Cert.Fixed_point
+      { op_name = Round_op.name op; task_name = task.Task.name; per_sigma }
+  in
+  check_site ~name:"fixed_point_on" ~equal:Bool.equal
+    ~query:
+      (Cert.Q_fixed_point
+         { op_name = Round_op.name op; task_name = aa.Task.name; sigmas })
+    ~forged:(fixed_point aa (List.map (fun sigma -> (sigma, [])) sigmas))
+    ~misfiled:
+      (fixed_point aa
+         (List.map
+            (fun sigma -> (sigma, Complex.facets (Task.delta aa sigma)))
+            (solo_sigmas aa)))
+    (fun () -> Closure.fixed_point_on ~op aa sigmas)
+
+let test_read_through_equivalence () =
+  let a, b =
+    if Algebra.compare Algebra.iis Algebra.snapshot < 0 then
+      (Algebra.iis, Algebra.snapshot)
+    else (Algebra.snapshot, Algebra.iis)
+  in
+  let an = Algebra.to_string a and bn = Algebra.to_string b in
+  let equivalence ~n ~equivalent probes =
+    Cert.Equivalence { lhs = an; rhs = bn; n; equivalent; probes }
+  in
+  check_site ~name:"Equiv.decide"
+    ~equal:(fun (x : Equiv.outcome) (y : Equiv.outcome) ->
+      x.equivalent = y.equivalent && x.probes = y.probes)
+    ~query:(Cert.Q_equiv { lhs = an; rhs = bn; n = 1 })
+    ~forged:(equivalence ~n:1 ~equivalent:true [ ("probe", "x", "y") ])
+    ~misfiled:(equivalence ~n:2 ~equivalent:true [ ("probe", "x", "x") ])
+    (fun () -> Equiv.decide ~memo:false ~n:1 a b)
+
+let test_read_through_solution () =
+  let cons = Consensus.binary ~n:2 in
+  let inputs = Task.input_simplices cons in
+  let solution ~rounds ~verdict =
+    Cert.Solution
+      {
+        model_name = Model.name Model.Immediate;
+        task_name = cons.Task.name;
+        rounds;
+        inputs;
+        verdict;
+        map = None;
+      }
+  in
+  let tag = function
+    | Solvability.Solvable _ -> `Solvable
+    | Solvability.Unsolvable -> `Unsolvable
+    | Solvability.Undecided -> `Undecided
+  in
+  check_site ~name:"task_in_model"
+    ~equal:(fun x y -> tag x = tag y)
+    ~query:
+      (Cert.Q_solve
+         {
+           model_name = Model.name Model.Immediate;
+           task_name = cons.Task.name;
+           rounds = 1;
+           inputs;
+         })
+    (* Solvable without a decision map. *)
+    ~forged:(solution ~rounds:1 ~verdict:true)
+    ~misfiled:(solution ~rounds:2 ~verdict:false)
+    (fun () -> Solvability.task_in_model Model.Immediate cons ~rounds:1)
+
+let test_undecided_solve_not_stored () =
+  with_store (fun _dir ->
+      let verdict =
+        Solvability.task_in_model ~node_limit:1 Model.Immediate aa ~rounds:1
+      in
+      Alcotest.(check bool) "node limit 1 leaves the solve undecided" true
+        (verdict = Solvability.Undecided);
+      Alcotest.(check (list string)) "no entry written" []
+        (List.map fst (Cert_store.entries ())))
+
 (* Concurrent writers from separate *processes* (store_writer.exe):
    both drive the production path against the same root, then hammer
    re-saves of the same keys, so the tmp-file + atomic-rename sequence
@@ -625,6 +837,18 @@ let suite =
         test_tampered_store_entry_recovers;
       Alcotest.test_case "store: session-local ops not persisted" `Quick
         test_unpersistent_ops_stay_out;
+      Alcotest.test_case "read-through: membership sites" `Quick
+        test_read_through_membership;
+      Alcotest.test_case "read-through: enumeration" `Quick
+        test_read_through_enumeration;
+      Alcotest.test_case "read-through: fixed point" `Quick
+        test_read_through_fixed_point;
+      Alcotest.test_case "read-through: equivalence" `Quick
+        test_read_through_equivalence;
+      Alcotest.test_case "read-through: solution" `Quick
+        test_read_through_solution;
+      Alcotest.test_case "read-through: undecided solve not stored" `Quick
+        test_undecided_solve_not_stored;
       Alcotest.test_case "store: concurrent process writers" `Quick
         test_concurrent_process_writers;
       Alcotest.test_case "store: gc races writers and replication pull" `Quick

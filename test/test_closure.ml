@@ -182,21 +182,20 @@ let test_round_op_accessors () =
     | Value.Pair { fst = Value.Bool true; _ } -> true
     | _ -> false)
 
-(* ---- batched memo publication ---- *)
+(* ---- the memo under concurrency ---- *)
+
+let with_jobs n f =
+  Pool.set_jobs (Some n);
+  Fun.protect ~finally:(fun () -> Pool.set_jobs None) f
 
 let test_batched_publication_parity () =
-  (* Under the work-stealing pool every domain buffers memo writes and
-     publishes them at chunk boundaries; nothing may be lost on the
-     way: after the same workload the shared table must hold exactly
-     the entries of the sequential run, and a warm pass must be served
-     entirely from it.  Random tasks are unregistered, so the cert
-     store never engages. *)
-  let t = Test_random_tasks.random_task 1234 in
+  (* Memo writes from pool workers land in the one locked table;
+     nothing may be lost on the way: after the same workload the table
+     must hold exactly the entries of the sequential run, and a warm
+     pass must be served entirely from it.  Random tasks are
+     unregistered, so the cert store never engages. *)
+  let t = Gen.random_task 1234 in
   let sigmas = Task.input_simplices t in
-  let with_jobs n f =
-    Pool.set_jobs (Some n);
-    Fun.protect ~finally:(fun () -> Pool.set_jobs None) f
-  in
   let workload () =
     List.iter (fun sigma -> ignore (Closure.delta ~op t sigma)) sigmas
   in
@@ -220,9 +219,10 @@ let test_batched_publication_parity () =
   Alcotest.(check int) "warm pass re-enumerates nothing"
     par.Closure.enumerations warm.Closure.enumerations;
   (* Two submitter domains race the same workload: their batches
-     serialize on the pool, their flushes interleave, and the table
-     still converges to the sequential entry set (a σ may be
-     enumerated by both, but publication is keyed, not appended). *)
+     serialize on the pool, their memo inserts interleave under the
+     lock, and the table still converges to the sequential entry set
+     (a σ may be enumerated by both, but inserts are keyed, not
+     appended). *)
   with_jobs 4 (fun () ->
       Closure.reset_memo ();
       let d1 = Domain.spawn workload and d2 = Domain.spawn workload in
@@ -230,6 +230,83 @@ let test_batched_publication_parity () =
       Domain.join d2;
       Alcotest.(check int) "racing submitters converge on the same entries"
         seq.Closure.entries (Closure.memo_stats ()).Closure.entries)
+
+(* Differential oracle: the memo (on, at jobs=2, σs fanned out across
+   the pool so inserts race) against no memo at jobs=1.  A second pass
+   must be served entirely from the memo. *)
+let memo_matches_oracle t =
+  let sigmas = Task.input_simplices t in
+  let oracle =
+    with_jobs 1 (fun () ->
+        List.map (fun sigma -> Closure.delta ~memo:false ~op t sigma) sigmas)
+  in
+  with_jobs 2 (fun () ->
+      Closure.reset_memo ();
+      let pass () =
+        Pool.map ~grain:1 (fun sigma -> Closure.delta ~op t sigma) sigmas
+      in
+      let first = pass () in
+      let before = Closure.memo_stats () in
+      let second = pass () in
+      let after = Closure.memo_stats () in
+      List.for_all2 Complex.equal oracle first
+      && List.for_all2 Complex.equal oracle second
+      && before.Closure.entries = List.length sigmas
+      && after.Closure.entries = before.Closure.entries
+      && after.Closure.enumerations = before.Closure.enumerations
+      && after.Closure.hits - before.Closure.hits = List.length sigmas)
+
+let prop_memo_oracle =
+  QCheck2.Test.make ~name:"memo on at jobs=2 = memo off at jobs=1 (random tasks)"
+    ~count:20
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed -> memo_matches_oracle (Gen.random_task seed))
+
+let test_memo_oracle_n3 () =
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "memo = oracle for %s" t.Task.name)
+        true (memo_matches_oracle t))
+    [
+      Consensus.binary ~n:3;
+      Approx_agreement.task ~n:3 ~m:2 ~eps:(Frac.make 1 2);
+    ]
+
+let test_reset_races_submitters () =
+  (* [reset_memo] while two submitter domains fill the memo: whatever
+     survives must still be the Δ'(σ) of its key. *)
+  let t = Approx_agreement.task ~n:3 ~m:2 ~eps:(Frac.make 1 2) in
+  let sigmas = Task.input_simplices t in
+  let oracle =
+    with_jobs 1 (fun () ->
+        List.map (fun sigma -> Closure.delta ~memo:false ~op t sigma) sigmas)
+  in
+  with_jobs 2 (fun () ->
+      Closure.reset_memo ();
+      let running = Atomic.make 2 in
+      let workload () =
+        for _ = 1 to 3 do
+          List.iter (fun sigma -> ignore (Closure.delta ~op t sigma)) sigmas
+        done;
+        Atomic.decr running
+      in
+      let d1 = Domain.spawn workload and d2 = Domain.spawn workload in
+      while Atomic.get running > 0 do
+        Closure.reset_memo ();
+        Domain.cpu_relax ()
+      done;
+      Domain.join d1;
+      Domain.join d2;
+      (* Every surviving entry is keyed by one of this task's σs, so a
+         memoizing pass over them hits each entry exactly once. *)
+      let entries = (Closure.memo_stats ()).Closure.entries in
+      let hits0 = (Closure.memo_stats ()).Closure.hits in
+      let served = List.map (fun sigma -> Closure.delta ~op t sigma) sigmas in
+      Alcotest.(check int) "every entry is read back" entries
+        ((Closure.memo_stats ()).Closure.hits - hits0);
+      Alcotest.(check bool) "every entry equals its memo-off value" true
+        (List.for_all2 Complex.equal oracle served))
 
 let suite =
   ( "closure",
@@ -249,4 +326,9 @@ let suite =
       Alcotest.test_case "round-op accessors" `Quick test_round_op_accessors;
       Alcotest.test_case "batched memo publication parity" `Quick
         test_batched_publication_parity;
+      QCheck_alcotest.to_alcotest prop_memo_oracle;
+      Alcotest.test_case "memo oracle: consensus and AA at n = 3" `Quick
+        test_memo_oracle_n3;
+      Alcotest.test_case "reset_memo races two submitters" `Quick
+        test_reset_races_submitters;
     ] )

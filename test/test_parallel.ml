@@ -177,8 +177,6 @@ let test_stats_accounting () =
   Alcotest.(check int) "per-slot tallies sum to the chunk total"
     s.Pool.chunks
     (List.fold_left (fun acc (_, c) -> acc + c) 0 s.Pool.domain_chunks);
-  (* Flush rounds follow chunks 1:1 once any hook is registered (the
-     closure memo registers one at module init). *)
   Alcotest.(check bool) "steal accounting consistent" true
     (s.Pool.stolen_chunks >= s.Pool.steals);
   Pool.reset_stats ();
@@ -223,7 +221,7 @@ let prop_closure_jobs_invariant =
     ~name:"Closure.delta at jobs=4 equals jobs=1 (random tasks)" ~count:15
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let t = Test_random_tasks.random_task seed in
+      let t = Gen.random_task seed in
       List.for_all
         (fun sigma ->
           Complex.equal (delta_at_jobs 1 t sigma) (delta_at_jobs 4 t sigma))

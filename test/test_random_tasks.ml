@@ -1,34 +1,7 @@
 (* Property-based tests of the theory itself on randomly generated
    2-process tasks: the speedup theorem and the closure containment
-   hold for *every* task, so random tasks are fair game. *)
-
-let input_values = [ Value.Int 0; Value.Int 1 ]
-let output_values = [ Value.Int 0; Value.Int 1; Value.Int 2 ]
-
-(* A random task: for each input simplex, a random non-empty set of
-   chromatic output assignments over its colors.  Solo inputs keep at
-   least one output; nothing else is assumed (Δ need not be a carrier
-   map — the paper's Definition 2 does not require it). *)
-let random_task seed =
-  let rng = Random.State.make [| seed |] in
-  let inputs = Combinatorics.full_input_complex 2 input_values in
-  let all_inputs = Complex.all_simplices inputs in
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun sigma ->
-      let candidates = Combinatorics.assignments (Simplex.ids sigma) output_values in
-      let chosen = List.filter (fun _ -> Random.State.bool rng) candidates in
-      let chosen = if chosen = [] then [ List.hd candidates ] else chosen in
-      Hashtbl.replace table (Simplex.to_string sigma) (Complex.of_facets chosen))
-    all_inputs;
-  Task.make
-    ~name:(Printf.sprintf "random-task-%d" seed)
-    ~arity:2 ~inputs:(lazy inputs)
-    ~outputs:(lazy (Combinatorics.full_input_complex 2 output_values))
-    ~delta:(fun sigma ->
-      match Hashtbl.find_opt table (Simplex.to_string sigma) with
-      | Some c -> c
-      | None -> invalid_arg "random task: unknown input")
+   hold for *every* task, so random tasks ([Gen.random_task]) are
+   fair game. *)
 
 let op = Round_op.plain Model.Immediate
 
@@ -36,7 +9,7 @@ let prop_closure_contains_delta =
   QCheck2.Test.make ~name:"Δ ⊆ Δ' for random tasks" ~count:40
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let t = random_task seed in
+      let t = Gen.random_task seed in
       List.for_all
         (fun sigma ->
           Complex.subcomplex (Task.delta t sigma) (Closure.delta ~op t sigma))
@@ -46,7 +19,7 @@ let prop_speedup_theorem =
   QCheck2.Test.make ~name:"speedup theorem on random tasks (t=1)" ~count:40
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let t = random_task seed in
+      let t = Gen.random_task seed in
       Speedup.speedup_holds
         (Speedup.verify (Speedup.of_model Model.Immediate) t ~rounds:1
            ~inputs:(Task.input_simplices t)))
@@ -55,7 +28,7 @@ let prop_speedup_theorem_tas =
   QCheck2.Test.make ~name:"speedup theorem on random tasks (test&set)" ~count:25
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let t = random_task seed in
+      let t = Gen.random_task seed in
       Speedup.speedup_holds
         (Speedup.verify Speedup.of_test_and_set t ~rounds:1
            ~inputs:(Task.input_simplices t)))
@@ -67,7 +40,7 @@ let prop_closure_monotone_in_model =
   QCheck2.Test.make ~name:"Δ'_collect ⊆ Δ'_snapshot ⊆ Δ'_IS" ~count:25
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let t = random_task seed in
+      let t = Gen.random_task seed in
       List.for_all
         (fun sigma ->
           let d m = Closure.delta ~op:(Round_op.plain m) t sigma in
@@ -81,7 +54,7 @@ let prop_zero_round_implies_closure_zero_round =
   QCheck2.Test.make ~name:"0-round solvable ⇒ closure 0-round solvable" ~count:40
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let t = random_task seed in
+      let t = Gen.random_task seed in
       let solvable0 task =
         Solvability.is_solvable
           (Solvability.task_in_model Model.Immediate task ~rounds:0)

@@ -198,7 +198,7 @@ let suite =
            Test_brute.random_task);
       QCheck_alcotest.to_alcotest
         (prop_random_tasks "shared = unshared tables (random 0/1/2 tasks)"
-           Test_random_tasks.random_task);
+           Gen.random_task);
       Alcotest.test_case "n=3 consensus closure τs" `Quick test_consensus_closure_taus;
       Alcotest.test_case "local Δ shared across τ" `Quick test_local_delta_shared;
       Alcotest.test_case "facets with different color sets" `Quick

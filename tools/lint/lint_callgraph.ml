@@ -3,7 +3,7 @@
 
    A definition is *pool-reachable* when its code can run inside a
    parallel region: on a pool worker (a callback given to
-   Pool.map/filter_map/filter/for_all/register_flush) or on a spawned
+   Pool.map/filter_map/filter/for_all) or on a spawned
    domain (Domain.spawn).  Rather than trusting the hand-maintained
    [Lint_config.parallel_reachable] list, the inference computes the
    set from the program:
@@ -76,7 +76,7 @@ let collect (mods : Lint_cmt.modl list) =
                         vb.vb_attributes
                   | _ ->
                       (* unit/tuple patterns: side-effecting top-level
-                         code such as [let () = Pool.register_flush …] *)
+                         code such as [let () = Hashtbl.add …] *)
                       add stack (fresh_anon ()) vb.vb_loc vb.vb_expr None
                         vb.vb_attributes)
                 vbs

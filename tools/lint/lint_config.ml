@@ -239,10 +239,7 @@ let commutative_ops =
    points for the R7 lockset analysis (code inside their callback
    arguments runs without the caller's locks). *)
 let pool_callback_receivers =
-  [
-    "Pool.map"; "Pool.filter_map"; "Pool.filter"; "Pool.for_all";
-    "Pool.register_flush";
-  ]
+  [ "Pool.map"; "Pool.filter_map"; "Pool.filter"; "Pool.for_all" ]
 
 let spawn_receivers = [ "Domain.spawn" ]
 
