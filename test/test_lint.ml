@@ -1,10 +1,11 @@
 (* Tests for speedup-lint (tools/lint), driven through the built
-   executable: each rule R1–R6 on a good and a bad fixture with exact
+   executable: each rule R1–R7 on a good and a bad fixture with exact
    (rule, line) diagnostics, scope boundaries, the three suppression
-   forms, the baseline mechanism, and the CLI exit codes.  Fixtures
-   for the syntactic backend live under test/lint_fixtures/ and only
-   need to parse; the typed backend's fixtures (r7_*/ subdirectories)
-   are compiled to .cmt at test time with ocamlc -bin-annot.
+   forms, the baseline mechanism, and the CLI exit codes.  The linter
+   reads typed trees, so the fixtures under test/lint_fixtures/ are
+   compiled to .cmt at test time with ocamlc -bin-annot; the ones that
+   name Simplex, Value or Algebra compile against the minimal stand-ins
+   in lint_fixtures/stubs/.
 
    The linter links compiler-libs, whose cmi directory shadows module
    names like [Closure]; driving the executable keeps the test binary
@@ -51,10 +52,70 @@ let fixtures_dir =
 
 let fixture name = Filename.concat fixtures_dir name
 
-(* [dir] is the logical repository directory the fixture pretends to
-   live in; it drives the per-directory rule scoping. *)
+(* A fresh temporary directory, removed when the test binary exits. *)
+let scratch_dir () =
+  let dir = Filename.temp_file "lint_cmt" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  at_exit (fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)));
+  dir
+
+(* Copies the fixtures [names] (paths under lint_fixtures/) into a
+   fresh scratch directory and compiles them there with ocamlc
+   -bin-annot, in list order, so dependencies go first.  Returns the
+   directory, which then holds one .cmt per fixture. *)
+let compile_fixtures names =
+  let dir = scratch_dir () in
+  List.iter
+    (fun name ->
+      let ic = open_in_bin (fixture name) in
+      let src = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin (Filename.concat dir (Filename.basename name)) in
+      output_string oc src;
+      close_out oc)
+    names;
+  let cmd =
+    Printf.sprintf "cd %s && ocamlc -I +unix -bin-annot -c %s 2>&1"
+      (Filename.quote dir)
+      (String.concat " "
+         (List.map (fun n -> Filename.quote (Filename.basename n)) names))
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = ref [] in
+  (try
+     while true do
+       out := input_line ic :: !out
+     done
+   with End_of_file -> ());
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ ->
+      Alcotest.failf "fixture compilation failed:\n%s"
+        (String.concat "\n" (List.rev !out)));
+  dir
+
+(* The single-module fixtures, compiled once into one directory; each
+   run lints one .cmt from it. *)
+let compiled =
+  lazy
+    (compile_fixtures
+       ([ "stubs/simplex.ml"; "stubs/value.ml"; "stubs/algebra.ml" ]
+       @ [
+           "r1_bad.ml"; "r1_dls.ml"; "r1_good.ml"; "r2_alias_bad.ml";
+           "r2_alias_good.ml"; "r2_bad.ml"; "r2_good.ml"; "r3_bad.ml";
+           "r3_good.ml"; "r4_bad.ml"; "r4_good.ml"; "r5_bad.ml";
+           "r5_good.ml"; "r5_server.ml"; "r6_algebra_bad.ml";
+           "r6_algebra_good.ml"; "r6_bad.ml"; "r6_good.ml";
+           "suppress_file.ml"; "suppress_inline.ml";
+         ]))
+
+(* Lints the compiled fixture [name] as if its source lived in the
+   logical repository directory [dir], which drives rule scoping. *)
 let lint ?(args = []) ~dir name =
-  run_lint (args @ [ "--prefix"; dir; fixture name ])
+  let cmt = Filename.chop_suffix name ".ml" ^ ".cmt" in
+  run_lint
+    (args @ [ "--as"; dir; Filename.concat (Lazy.force compiled) cmt ])
 
 (* Parses "file:line:col: [RULE] message" diagnostic lines, skipping
    the informational "speedup-lint:" ones. *)
@@ -91,8 +152,8 @@ let test_r1 () =
     (lint ~dir:"bench/" "r1_bad.ml");
   (* Domain.DLS keys are per-domain caches by construction: no data
      race, but a coherence hazard unless deliberately designed — each
-     one needs a reasoned [@lint.allow], like the pool's memo and
-     intern front caches carry. *)
+     one needs a reasoned [@lint.allow], like the intern id blocks and
+     front caches carry. *)
   check_run "bad: bare DLS key in pool-reachable lib" ~expected_code:1
     [ ("R1", 1) ]
     (lint ~dir:"lib/closure/" "r1_dls.ml");
@@ -105,7 +166,16 @@ let test_r2 () =
     [ ("R2", 1) ]
     (lint ~dir:"lib/runtime/" "r2_bad.ml");
   check_run "good: sorted fold + commutative fold" ~expected_code:0 []
-    (lint ~dir:"lib/runtime/" "r2_good.ml")
+    (lint ~dir:"lib/runtime/" "r2_good.ml");
+  (* Iterators are recognised by their declaration in hashtbl.mli, so
+     neither an alias nor a Hashtbl.Make instance named other than
+     *.Tbl hides them. *)
+  check_run "bad: folds through an alias and a functor instance"
+    ~expected_code:1
+    [ ("R2", 4); ("R2", 5) ]
+    (lint ~dir:"lib/runtime/" "r2_alias_bad.ml");
+  check_run "good: the same folds sorted or commutative" ~expected_code:0 []
+    (lint ~dir:"lib/runtime/" "r2_alias_good.ml")
 
 let test_r3 () =
   check_run "bad: Mutex.lock without Fun.protect" ~expected_code:1
@@ -250,62 +320,32 @@ let test_rules_filter () =
   check_run "--rules filters findings" ~expected_code:0 []
     (lint ~args:[ "--rules"; "R1" ] ~dir:"lib/solver/" "r5_bad.ml")
 
-let test_parse_error () =
-  let code, lines = lint ~dir:"lib/core/" "broken.ml" in
-  Alcotest.(check int) "syntax error fails the run" 1 code;
-  check_mentions "syntax error is reported" "[parse] syntax error" lines
-
-(* ---- typed backend (--cmt): R7 locksets and reachability ---- *)
-
-(* The typed backend reads .cmt trees, so fixtures are compiled first:
-   copy them into a scratch directory and run ocamlc -bin-annot there
-   (Mutex and Domain are stdlib modules, plain ocamlc suffices), then
-   point --cmt at the directory.  Compilation order follows the list,
-   so dependent files go last. *)
-let compile_fixtures sub names =
-  let dir = Filename.temp_file "lint_cmt" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  List.iter
-    (fun name ->
-      let ic = open_in_bin (fixture (Filename.concat sub name)) in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let oc = open_out_bin (Filename.concat dir name) in
-      output_string oc src;
-      close_out oc)
-    names;
-  let cmd =
-    Printf.sprintf "cd %s && ocamlc -bin-annot -c %s 2>&1"
-      (Filename.quote dir)
-      (String.concat " " (List.map Filename.quote names))
-  in
-  let ic = Unix.open_process_in cmd in
-  let out = ref [] in
-  (try
-     while true do
-       out := input_line ic :: !out
-     done
-   with End_of_file -> ());
-  (match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> ()
-  | _ ->
-      Alcotest.failf "fixture compilation failed:\n%s"
-        (String.concat "\n" (List.rev !out)));
-  dir
+(* A .cmt that fails to load is a finding, not "nothing to lint"; only
+   roots with no .cmt at all are a usage error. *)
+let test_unreadable_cmt () =
+  let dir = scratch_dir () in
+  let empty = run_lint [ dir ] in
+  Alcotest.(check int) "no .cmt at all: exit 2" 2 (fst empty);
+  let oc = open_out_bin (Filename.concat dir "bad.cmt") in
+  output_string oc "not a cmt";
+  close_out oc;
+  let code, lines = run_lint [ dir ] in
+  check_run "corrupt .cmt fails the run" ~expected_code:1 [ ("lint", 0) ]
+    (code, lines);
+  check_mentions "load failure is reported" "cannot read cmt" lines
 
 let test_r7_typed () =
   (* Consistent locksets — Mutex.protect, a lock alias, and
      Mutex.lock + Fun.protect all resolve to the same mutex. *)
-  let dir = compile_fixtures "r7_good" [ "good.ml" ] in
+  let dir = compile_fixtures [ "r7_good/good.ml" ] in
   check_run "good: consistent locksets (incl. alias)" ~expected_code:0 []
-    (run_lint [ "--cmt"; "--as"; "lib/closure/"; "--rules"; "R7"; dir ]);
+    (run_lint [ "--as"; "lib/closure/"; "--rules"; "R7"; dir ]);
   (* Seeded violations: empty lockset on [unguarded] (line 11) and a
      lock_a/lock_b split on [split], reported at the access that
      breaks the running intersection (line 13). *)
-  let dir = compile_fixtures "r7_bad" [ "bad.ml" ] in
+  let dir = compile_fixtures [ "r7_bad/bad.ml" ] in
   let code, lines =
-    run_lint [ "--cmt"; "--as"; "lib/closure/"; "--rules"; "R7"; dir ]
+    run_lint [ "--as"; "lib/closure/"; "--rules"; "R7"; dir ]
   in
   check_run "bad: empty and inconsistent locksets" ~expected_code:1
     [ ("R7", 11); ("R7", 13) ]
@@ -319,10 +359,11 @@ let test_reachability_cross_module () =
      directory are inferred pool-reachable across the module
      boundary. *)
   let dir =
-    compile_fixtures "r7_cross_module" [ "r7_cross_a.ml"; "r7_cross_b.ml" ]
+    compile_fixtures
+      [ "r7_cross_module/r7_cross_a.ml"; "r7_cross_module/r7_cross_b.ml" ]
   in
   let code, lines =
-    run_lint [ "--cmt"; "--as"; "lib/closure/"; "--reachability"; dir ]
+    run_lint [ "--as"; "lib/closure/"; "--reachability"; dir ]
   in
   Alcotest.(check int) "--reachability exits 0" 0 code;
   check_mentions "receiver-forwarding function is reachable"
@@ -378,7 +419,8 @@ let suite =
       Alcotest.test_case "baseline load/apply" `Quick test_baseline;
       Alcotest.test_case "emit-baseline and json output" `Quick test_emit_and_json;
       Alcotest.test_case "rules filter" `Quick test_rules_filter;
-      Alcotest.test_case "parse failure is reported" `Quick test_parse_error;
+      Alcotest.test_case "unreadable cmt is reported" `Quick
+        test_unreadable_cmt;
       Alcotest.test_case "R7 locksets (typed backend)" `Quick test_r7_typed;
       Alcotest.test_case "cross-module reachability inference" `Quick
         test_reachability_cross_module;

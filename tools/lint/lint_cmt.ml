@@ -1,19 +1,23 @@
-(* Typed whole-program backend for speedup-lint.
+(* speedup-lint: the typed checks over the `.cmt` trees dune emits.
 
-   The syntactic pass (lint_engine) sees one parsetree at a time and
-   matches identifiers by surface spelling, so aliases and opens can
-   hide a banned identifier from it.  This module loads the `.cmt`
-   binary annotations dune already emits for every compiled module and
-   re-runs the per-module rules on the *typed* tree, where every
-   identifier carries its resolved [Path.t] and every expression its
-   inferred type:
+   Every compiled module's binary annotations are loaded and the
+   per-module rules run on the *typed* tree, where every identifier
+   carries its resolved [Path.t] (and declaration) and every expression
+   its inferred type, so an alias or an [open] cannot hide a banned
+   call:
 
      R1  top-level mutable state, detected by resolved creator path
-         (an aliased [module H = Hashtbl] no longer hides a table) and
+         (an aliased [module H = Hashtbl] does not hide a table) and
          by the typed mutability of record labels;
+     R2  hash-table iteration whose order leaks into results: the
+         iterators are recognised by their declaration, so aliases and
+         [Hashtbl.Make] instances of any name are seen; a keyed
+         [List.sort] or a commutative fold sanitises them;
      R3  lock discipline, with [Mutex.lock] resolved by path;
      R4  polymorphic operations whose argument *type* mentions a
-         dedicated comparator type — no syntactic rooting required;
+         dedicated comparator type, plus (inside the layer that
+         defines those types) bare polymorphic comparators and
+         comparator lambdas comparing anything but simple scalars;
      R5  banned nondeterminism by resolved path;
      R6  structural operations whose argument type mentions an
          interned type.
@@ -23,6 +27,49 @@
    lint_lockset (R7).  See docs/LINT.md. *)
 
 open Typedtree
+
+(* ---- suppression attributes ---- *)
+
+let allow_attr = "lint.allow"
+
+let string_payload = function
+  | Parsetree.PStr
+      [
+        {
+          pstr_desc =
+            Pstr_eval
+              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+          _;
+        };
+      ] ->
+      Some s
+  | _ -> None
+
+(* The rule an [@lint.allow "RULE: reason"] payload names, if the
+   payload is a string. *)
+let allow_rule payload =
+  Option.map
+    (fun s ->
+      match String.index_opt s ':' with
+      | Some i -> String.trim (String.sub s 0 i)
+      | None -> String.trim s)
+    (string_payload payload)
+
+(* Returns the rules suppressed by [attrs]; malformed payloads are
+   reported through [report]. *)
+let suppressions_of_attrs ~report (attrs : Parsetree.attributes) =
+  List.filter_map
+    (fun (a : Parsetree.attribute) ->
+      if a.attr_name.txt <> allow_attr then None
+      else
+        match allow_rule a.attr_payload with
+        | Some _ as rule -> rule
+        | None ->
+            report a.attr_loc "lint"
+              "[@lint.allow] needs a string payload, e.g. \
+               [@lint.allow \"R2: commutative fold\"]";
+            None)
+    attrs
 
 (* ---- loaded modules ---- *)
 
@@ -107,6 +154,21 @@ let norm_components p =
 
 let norm_name p = String.concat "." (norm_components p)
 
+(* Is the resolved path [p] in [vocab] (lists of normalized
+   components)?  Single-component entries must resolve to Stdlib's: a
+   dedicated [compare] or [+] defined in the current module (or opened
+   from one, as in [Frac.(a + b)]) is not the polymorphic one. *)
+let path_in vocab p =
+  match norm_components p with
+  | [ _ ] as comps ->
+      (match String.split_on_char '.' (Path.name p) with
+      | [ "Stdlib"; _ ] -> true
+      | _ -> false)
+      && List.mem comps vocab
+  | comps -> List.mem comps vocab
+
+let stdlib_op ops = path_in (List.map (fun o -> [ o ]) ops)
+
 (* Does [id] end with [suffix] at a dot boundary? *)
 let dot_suffix id suffix =
   id = suffix
@@ -147,9 +209,7 @@ type cell_kind = Ref | Table | Array | Record | Dls | Other
    Returns the kind and a display name. *)
 let creator_kind_of_path p =
   let comps = norm_components p in
-  (* A bare [ref] could be a local shadow; require Stdlib's. *)
-  if comps = [ "ref" ] && Path.name p <> "Stdlib.ref" then None
-  else if List.mem comps Lint_config.mutable_creators then
+  if path_in Lint_config.mutable_creators p then
     let kind =
       match comps with
       | [ "ref" ] -> Ref
@@ -182,16 +242,17 @@ let rec creator_kind (e : expression) =
   | Texp_lazy e -> creator_kind e
   | _ -> None
 
-(* Polymorphic compare/hash by resolved path.  Single-component
-   operators must resolve to Stdlib's (a dedicated [compare] defined
-   in the current module is exactly what the rule recommends). *)
-let is_poly_op_path p =
-  match String.split_on_char '.' (Path.name p) with
-  | [ "Stdlib"; op ] -> List.mem [ op ] Lint_config.poly_compare_ops
-  | _ -> (
-      match norm_components p with
-      | [ "Hashtbl"; ("hash" | "seeded_hash") ] -> true
-      | _ -> false)
+(* The arguments an application actually supplies. *)
+let supplied args =
+  List.filter_map (fun (l, a) -> Option.map (fun a -> (l, a)) a) args
+
+(* The head path, its declaration and the supplied arguments of an
+   application of a named function. *)
+let applied (e : expression) =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) ->
+      Some (p, vd, supplied args)
+  | _ -> None
 
 (* Does the (syntactic structure of) type [ty] mention one of [names]
    as a constructor?  Abstract types stay opaque, so there are no deep
@@ -206,8 +267,8 @@ let rec type_mentions names ty =
   | Tpoly (t, _) -> type_mentions names t
   | _ -> false
 
-(* Does any identifier in [e] resolve to [name] (normalized)? *)
-let mentions_path name e =
+(* Does any identifier in [e] satisfy [pred]? *)
+let mentions pred e =
   let found = ref false in
   let it =
     {
@@ -215,7 +276,7 @@ let mentions_path name e =
       expr =
         (fun it e ->
           (match e.exp_desc with
-          | Texp_ident (p, _, _) when norm_name p = name -> found := true
+          | Texp_ident (p, _, _) when pred p -> found := true
           | _ -> ());
           if not !found then Tast_iterator.default_iterator.expr it e);
     }
@@ -223,33 +284,87 @@ let mentions_path name e =
   it.expr it e;
   !found
 
-let is_apply_of name (e : expression) =
-  match e.exp_desc with
-  | Texp_apply (f, _) -> (
-      match f.exp_desc with
-      | Texp_ident (p, _, _) -> norm_name p = name
+let is_apply_of name e =
+  match applied e with Some (p, _, _) -> norm_name p = name | None -> false
+
+(* ---- R2 helpers ---- *)
+
+(* Hash-table iteration, recognised by where the value is declared:
+   [Hashtbl.fold], an alias ([module H = Hashtbl]) and every
+   [Hashtbl.Make] instance, whatever its name, all declare their
+   iterators in hashtbl.mli.  A [*.Tbl.*] path counts too. *)
+let hashtbl_iteration p (vd : Types.value_description) :
+    [ `Fold | `Iter ] option =
+  let over_table =
+    Filename.basename vd.val_loc.loc_start.pos_fname = "hashtbl.mli"
+    || match List.rev (norm_components p) with
+       | _ :: "Tbl" :: _ -> true
+       | _ -> false
+  in
+  if not over_table then None
+  else
+    match Path.last p with
+    | "fold" -> Some `Fold
+    | "iter" | "to_seq" | "to_seq_keys" | "to_seq_values" -> Some `Iter
+    | _ -> None
+
+let is_poly_comparator = path_in Lint_config.poly_comparator_idents
+
+(* Is [e] a keyed sort ([List.sort cmp …] with [cmp] free of
+   polymorphic compare/hash)?  Returns the sorted operands: [] for the
+   partial application [List.sort cmp]. *)
+let sort_sanitizer e =
+  match applied e with
+  | Some (p, _, args) when path_in Lint_config.sorters p -> (
+      match List.filter (fun (l, _) -> l = Asttypes.Nolabel) args with
+      | (_, cmp) :: rest when not (mentions is_poly_comparator cmp) ->
+          Some (List.map snd rest)
+      | _ -> None)
+  | _ -> None
+
+(* [fun _k _v acc -> acc <op> e] with a commutative, associative
+   Stdlib operator touching the accumulator: insensitive to iteration
+   order. *)
+let fold_is_commutative (fn : expression) =
+  let rec last_param acc (e : expression) =
+    match e.exp_desc with
+    | Texp_function { cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ } ->
+        let id =
+          match c_lhs.pat_desc with Tpat_var (id, _) -> Some id | _ -> None
+        in
+        last_param (Some id) c_rhs
+    | _ -> (acc, e)
+  in
+  match last_param None fn with
+  | Some (Some acc), body -> (
+      let is_acc (e : expression) =
+        match e.exp_desc with
+        | Texp_ident (Path.Pident id, _, _) -> Ident.same id acc
+        | _ -> false
+      in
+      match applied body with
+      | Some (op, _, [ (_, a); (_, b) ]) ->
+          stdlib_op Lint_config.commutative_ops op
+          && (is_acc a || is_acc b)
       | _ -> false)
   | _ -> false
 
-let is_protect_with_unlock (e : expression) =
-  match e.exp_desc with
-  | Texp_apply (f, args) -> (
-      match f.exp_desc with
-      | Texp_ident (p, _, _) ->
-          norm_name p = "Fun.protect"
-          && List.exists
-               (fun (lbl, a) ->
-                 lbl = Asttypes.Labelled "finally"
-                 &&
-                 match a with
-                 | Some a -> mentions_path "Mutex.unlock" a
-                 | None -> false)
-               args
-      | _ -> false)
-  | _ -> false
+(* ---- R3 helpers ---- *)
 
-(* First meaningful expression of a continuation, as in the syntactic
-   engine: peels sequencing and let-bindings. *)
+let is_protect_with_unlock e =
+  match applied e with
+  | Some (p, _, args) ->
+      norm_name p = "Fun.protect"
+      && List.exists
+           (fun (lbl, a) ->
+             lbl = Asttypes.Labelled "finally"
+             && mentions (fun p -> norm_name p = "Mutex.unlock") a)
+           args
+  | None -> false
+
+(* First meaningful expression of a continuation: peels sequencing and
+   let-bindings so [Mutex.lock m; let x = Fun.protect … in …] and
+   [Mutex.lock m; Fun.protect …; …] both count. *)
 let rec protect_follows (e : expression) =
   if is_protect_with_unlock e then true
   else
@@ -259,13 +374,37 @@ let rec protect_follows (e : expression) =
         List.exists (fun vb -> is_protect_with_unlock vb.vb_expr) vbs
     | _ -> false
 
+(* ---- R4 (dedicated layer) helpers ---- *)
+
+(* "Simple scalar" expressions tolerated under polymorphic compare in
+   the dedicated layer: the destructured-scalar idiom used inside the
+   dedicated comparator definitions themselves. *)
+let rec simple_scalar (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (Path.Pident _, _, _) | Texp_constant _ -> true
+  | Texp_field (e, _, _) -> simple_scalar e
+  | Texp_tuple es -> List.for_all simple_scalar es
+  | _ -> (
+      match applied e with
+      | Some (op, _, args) ->
+          stdlib_op Lint_config.arithmetic_ops op
+          && List.for_all (fun (_, a) -> simple_scalar a) args
+      | None -> false)
+
+(* ---- R5 helpers ---- *)
+
+let is_ambient_random = function
+  | "Random" :: rest -> (
+      match rest with "State" :: _ -> false | _ -> true)
+  | _ -> false
+
 (* ---- per-module typed checks ---- *)
 
 type ctx = {
   m : modl;
   mutable suppressed : string list list;
   mutable file_suppressed : string list;
-  mutable cleared : expression list;
+  mutable cleared : expression list;  (* nodes proved safe, by identity *)
   mutable findings : Lint_diag.t list;
 }
 
@@ -277,10 +416,8 @@ let report ctx ~rule ~loc msg =
     ctx.findings <-
       Lint_diag.of_location ~rule ~file:ctx.m.src loc msg :: ctx.findings
 
-(* Suppression parsing is shared with the syntactic engine: typedtree
-   attributes are parsetree attributes. *)
 let suppressions ctx attrs =
-  Lint_engine.suppressions_of_attrs
+  suppressions_of_attrs
     ~report:(fun loc rule msg ->
       ctx.findings <-
         Lint_diag.of_location ~rule ~file:ctx.m.src loc msg :: ctx.findings)
@@ -291,8 +428,7 @@ let floating_suppressions ctx (str : structure) =
   List.iter
     (fun item ->
       match item.str_desc with
-      | Tstr_attribute a when a.Parsetree.attr_name.txt = Lint_engine.allow_attr
-        ->
+      | Tstr_attribute a when a.Parsetree.attr_name.txt = allow_attr ->
           ctx.file_suppressed <- suppressions ctx [ a ] @ ctx.file_suppressed
       | _ -> ())
     str.str_items
@@ -300,41 +436,115 @@ let floating_suppressions ctx (str : structure) =
 let clear ctx e = ctx.cleared <- e :: ctx.cleared
 let is_cleared ctx e = List.memq e ctx.cleared
 
-let check_poly_apply ctx (e : expression) f args =
-  match f.exp_desc with
-  | Texp_ident (p, _, _) when is_poly_op_path p ->
-      let op = norm_name p in
-      List.iter
-        (fun (_, a) ->
-          match a with
-          | None -> ()
-          | Some a ->
-              if type_mentions Lint_config.dedicated_type_names a.exp_type then
-                report ctx ~rule:"R4" ~loc:e.exp_loc
-                  (Printf.sprintf
-                     "polymorphic '%s' applied to a value whose type involves \
-                      a dedicated comparator type; use Simplex.compare / \
-                      Vertex.compare / Complex.compare / Frac.compare (or key \
-                      with Int.compare)"
-                     op)
-              else if
-                ctx.m.scope.Lint_config.r6
-                && type_mentions Lint_config.interned_type_names a.exp_type
-              then
-                report ctx ~rule:"R6" ~loc:e.exp_loc
-                  (Printf.sprintf
-                     "structural '%s' applied to a value whose type involves \
-                      an interned type outside lib/topology; interned nodes \
-                      carry process-local ids, so use the module's equal / \
-                      compare / hash instead"
-                     op))
-        args
-  | _ -> ()
+(* Marks the nodes a sanitizer around [e] proves safe, before the walk
+   reaches them: [List.sort cmp (fold …)], [fold |> List.sort cmp]
+   (which the typechecker turns into [(List.sort cmp) (fold …)]) and
+   [Mutex.lock m; <protected continuation>]. *)
+let premark ctx (e : expression) =
+  match e.exp_desc with
+  | Texp_sequence (e1, e2)
+    when is_apply_of "Mutex.lock" e1 && protect_follows e2 ->
+      clear ctx e1
+  | Texp_apply (f, args) when sort_sanitizer f <> None ->
+      List.iter (fun (_, a) -> clear ctx a) (supplied args)
+  | _ -> Option.iter (List.iter (clear ctx)) (sort_sanitizer e)
+
+let check_r2 ctx (e : expression) p vd args =
+  match hashtbl_iteration p vd with
+  | Some _ when is_cleared ctx e -> ()
+  | Some `Fold ->
+      let commutative =
+        match args with (_, fn) :: _ -> fold_is_commutative fn | [] -> false
+      in
+      if not commutative then
+        report ctx ~rule:"R2" ~loc:e.exp_loc
+          (Printf.sprintf
+             "%s result depends on hash iteration order; pipe it through \
+              List.sort with a keyed comparator (e.g. Int.compare), make the \
+              fold commutative, or suppress with [@lint.allow \"R2: reason\"]"
+             (norm_name p))
+  | Some `Iter ->
+      report ctx ~rule:"R2" ~loc:e.exp_loc
+        (Printf.sprintf
+           "%s visits bindings in hash order; collect with a fold and sort \
+            with a keyed comparator, or suppress with [@lint.allow \"R2: \
+            reason\"]"
+           (norm_name p))
+  | None -> ()
+
+(* R4/R6: polymorphic compare/hash applied at a dedicated or interned
+   type. *)
+let check_poly_apply ctx (e : expression) p args =
+  if path_in Lint_config.poly_compare_ops p then
+    let op = norm_name p in
+    List.iter
+      (fun (_, (a : expression)) ->
+        if type_mentions Lint_config.dedicated_type_names a.exp_type then
+          report ctx ~rule:"R4" ~loc:e.exp_loc
+            (Printf.sprintf
+               "polymorphic '%s' applied to a value whose type involves a \
+                dedicated comparator type; use Simplex.compare / \
+                Vertex.compare / Complex.compare / Frac.compare (or key with \
+                Int.compare)"
+               op)
+        else if
+          ctx.m.scope.Lint_config.r6
+          && type_mentions Lint_config.interned_type_names a.exp_type
+        then
+          report ctx ~rule:"R6" ~loc:e.exp_loc
+            (Printf.sprintf
+               "structural '%s' applied to a value whose type involves an \
+                interned type outside lib/topology; interned nodes carry \
+                process-local ids, so use the module's equal / compare / hash \
+                instead"
+               op))
+      args
+
+(* R4 in the dedicated layer: in a lambda passed as an argument
+   (comparator position), polymorphic compare/hash applied to anything
+   but simple scalars. *)
+let check_comparator_lambda ctx lambda =
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match applied e with
+          | Some (p, _, args)
+            when path_in Lint_config.lambda_compare_ops p
+                 && not (List.for_all (fun (_, a) -> simple_scalar a) args) ->
+              report ctx ~rule:"R4" ~loc:e.exp_loc
+                "polymorphic compare inside a comparator lambda in the \
+                 dedicated-comparator layer; key it with Int.compare / \
+                 String.compare or use the module's compare"
+          | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it lambda
+
+(* R4 in the dedicated layer: bare polymorphic comparators and
+   comparator lambdas in argument position. *)
+let check_comparator_args ctx args =
+  List.iter
+    (fun (_, (a : expression)) ->
+      match a.exp_desc with
+      | Texp_ident (p, _, _) when is_poly_comparator p ->
+          report ctx ~rule:"R4" ~loc:a.exp_loc
+            (Printf.sprintf
+               "bare polymorphic comparator '%s' passed in the \
+                dedicated-comparator layer; use Int.compare / String.compare \
+                or the module's compare"
+               (norm_name p))
+      | Texp_function _ -> check_comparator_lambda ctx a
+      | _ -> ())
+    args
 
 let check_module m =
   let ctx =
     { m; suppressed = []; file_suppressed = []; cleared = []; findings = [] }
   in
+  let scope = m.scope in
   floating_suppressions ctx m.str;
   let push attrs = ctx.suppressed <- suppressions ctx attrs :: ctx.suppressed in
   let pop () = ctx.suppressed <- List.tl ctx.suppressed in
@@ -345,20 +555,15 @@ let check_module m =
       expr =
         (fun it e ->
           push e.exp_attributes;
-          (* Pre-marking: Mutex.lock m; <protected continuation>. *)
-          (match e.exp_desc with
-          | Texp_sequence (e1, e2)
-            when is_apply_of "Mutex.lock" e1 && protect_follows e2 ->
-              clear ctx e1
-          | _ -> ());
+          premark ctx e;
           (match e.exp_desc with
           | Texp_ident (p, _, _) ->
               let comps = norm_components p in
               if
-                ctx.m.scope.Lint_config.r5
+                scope.r5
                 && (List.mem comps Lint_config.banned_idents
-                   || Lint_engine.is_ambient_random comps)
-                && not (List.mem comps ctx.m.scope.Lint_config.r5_allowed)
+                   || is_ambient_random comps)
+                && not (List.mem comps scope.r5_allowed)
               then
                 report ctx ~rule:"R5" ~loc:e.exp_loc
                   (Printf.sprintf
@@ -366,14 +571,21 @@ let check_module m =
                       an explicit Random.State (seeded by the caller) or move \
                       the timing/IO to bin/ or bench/"
                      (String.concat "." comps))
-          | Texp_apply (f, args) ->
-              if is_apply_of "Mutex.lock" e && not (is_cleared ctx e) then
+          | _ -> ());
+          (match applied e with
+          | Some (p, vd, args) ->
+              check_r2 ctx e p vd args;
+              if norm_name p = "Mutex.lock" && not (is_cleared ctx e) then
                 report ctx ~rule:"R3" ~loc:e.exp_loc
                   "Mutex.lock without a following Fun.protect ~finally:(… \
                    Mutex.unlock …) in the same function; an exception in the \
                    critical section would leave the mutex held (or use \
                    Mutex.protect)";
-              check_poly_apply ctx e f args
+              check_poly_apply ctx e p args
+          | None -> ());
+          (match e.exp_desc with
+          | Texp_apply (_, args) when scope.r4_dedicated ->
+              check_comparator_args ctx (supplied args)
           | _ -> ());
           let saved = !toplevel in
           toplevel := false;
@@ -383,7 +595,7 @@ let check_module m =
       value_binding =
         (fun it vb ->
           push vb.vb_attributes;
-          (if !toplevel && ctx.m.scope.Lint_config.r1 then
+          (if !toplevel && scope.r1 then
              match creator_kind vb.vb_expr with
              | Some (Record, _) ->
                  report ctx ~rule:"R1" ~loc:vb.vb_loc

@@ -12,7 +12,7 @@
    there must be Atomic, mutex-guarded, or explicitly allowlisted
    (R1), and every such cell's locksets must be consistent (R7).
 
-   This list is no longer trusted: the typed backend *infers* the
+   This list is no longer trusted: the linter *infers* the
    pool-reachable set from the whole-program call graph
    (lint_callgraph) and `dune build @lint` fails on drift in either
    direction, so the list here is exactly the inferred directory
@@ -21,7 +21,7 @@
    flowing through Solvability.decide / Adversary.check_task /
    Round_op into Pool callbacks — paths the hand-maintained list had
    missed.  Regenerate the set with:
-   main.exe --cmt --reachability lib bin bench tools  (from
+   main.exe --reachability lib bin bench tools  (from
    _build/default). *)
 let parallel_reachable =
   [
@@ -104,62 +104,18 @@ let classify path =
       { label = "other"; r1 = false; r4_dedicated = false; r5 = false;
         r5_allowed = []; r6 = false }
 
-(* Modules whose main type has a dedicated comparator (R4). *)
-let dedicated_modules = [ "Simplex"; "Vertex"; "Complex"; "Frac" ]
+(* Types with a dedicated comparator (R4), as resolved, normalized
+   type paths: a polymorphic operation whose argument *type* mentions
+   one of these fires however the value was reached. *)
+let dedicated_type_names = [ "Simplex.t"; "Vertex.t"; "Complex.t"; "Frac.t" ]
 
-(* Functions of a dedicated module returning scalars (or being the
-   dedicated comparator itself): applying a polymorphic operation to
-   their result is not a polymorphic comparison of the abstract type. *)
-let scalar_projections =
-  [
-    ( "Simplex",
-      [
-        "card"; "dim"; "ids"; "mem"; "mem_color"; "is_chromatic_set";
-        "to_string"; "compare"; "equal"; "pp";
-      ] );
-    ("Vertex", [ "color"; "to_string"; "compare"; "equal"; "pp" ]);
-    ( "Complex",
-      [
-        "dim"; "facet_count"; "vertex_count"; "simplex_count"; "is_empty";
-        "is_pure"; "mem"; "mem_vertex"; "subcomplex"; "colors"; "compare";
-        "equal"; "pp"; "pp_stats";
-      ] );
-    ( "Frac",
-      [ "num"; "den"; "sign"; "to_string"; "to_float"; "compare"; "equal"; "pp" ]
-    );
-  ]
-
-(* Modules whose main type is hash-consed (R6): interned nodes carry
-   process-local ids, so [Stdlib.compare] orders them
-   nondeterministically and [Hashtbl.hash] folds the ids.  Vertex and
-   Simplex are interned too, but they are already [dedicated_modules],
-   so R4 flags the same operations there; R6 covers the types R4 does
-   not.  Applies outside lib/topology (scope field [r6]). *)
-let interned_modules = [ "Value"; "Algebra" ]
-
-(* Functions of an interned module returning plain scalars: applying a
-   structural operation to their result is fine (mirrors
-   [scalar_projections] for R4). *)
-let interned_scalar_projections =
-  [
-    ( "Value",
-      [
-        "view_ids"; "compare"; "structural_compare"; "equal"; "hash";
-        "to_string"; "as_frac"; "as_bool"; "pp"; "interned_nodes";
-      ] );
-    ( "Algebra",
-      [
-        "to_string"; "compare"; "equal"; "pp"; "interned_nodes";
-        "allows_solo";
-      ] );
-  ]
-
-(* Scalar-returning operations of the Set/Map/Tbl submodules. *)
-let container_scalars =
-  [
-    "cardinal"; "is_empty"; "mem"; "for_all"; "exists"; "equal"; "compare";
-    "subset"; "disjoint"; "length";
-  ]
+(* Hash-consed types (R6): interned nodes carry process-local ids, so
+   [Stdlib.compare] orders them nondeterministically and [Hashtbl.hash]
+   folds the ids.  Vertex and Simplex are interned too, but they are
+   already dedicated types, so R4 flags the same operations there; R6
+   covers the types R4 does not.  Applies outside lib/topology (scope
+   field [r6]). *)
+let interned_type_names = [ "Value.t"; "Algebra.t" ]
 
 (* R1: constructors of shared mutable state banned at top level.
    [Domain.DLS.new_key] is listed because a DLS key at top level is a
@@ -194,25 +150,34 @@ let banned_idents =
     [ "Random"; "State"; "make_self_init" ];
   ]
 
-(* Polymorphic operations whose application to dedicated types is an
-   error (R4). *)
+(* The vocabulary below is matched against resolved, normalized paths
+   (Lint_cmt.path_in): "Stdlib." is stripped, and a single-component
+   entry only matches Stdlib's own operator, never a local or opened
+   one of the same name. *)
+
+(* Polymorphic operations whose application at a dedicated (R4) or
+   interned (R6) type is an error. *)
 let poly_compare_ops =
   [
-    [ "compare" ]; [ "Stdlib"; "compare" ]; [ "Hashtbl"; "hash" ];
-    [ "Hashtbl"; "seeded_hash" ]; [ "=" ]; [ "<>" ]; [ "<" ]; [ ">" ];
-    [ "<=" ]; [ ">=" ]; [ "min" ]; [ "max" ]; [ "Stdlib"; "min" ];
-    [ "Stdlib"; "max" ]; [ "Stdlib"; "=" ]; [ "Stdlib"; "<>" ];
-    [ "Stdlib"; "<" ]; [ "Stdlib"; ">" ]; [ "Stdlib"; "<=" ];
-    [ "Stdlib"; ">=" ];
+    [ "compare" ]; [ "Hashtbl"; "hash" ]; [ "Hashtbl"; "seeded_hash" ];
+    [ "=" ]; [ "<>" ]; [ "<" ]; [ ">" ]; [ "<=" ]; [ ">=" ]; [ "min" ];
+    [ "max" ];
   ]
 
 (* Bare polymorphic comparators: passing one of these as a function
-   argument inside the dedicated layer is an error (R4). *)
+   argument inside the dedicated layer is an error (R4); a comparator
+   mentioning one is not keyed, so it does not sanitize a sort (R2). *)
 let poly_comparator_idents =
-  [
-    [ "compare" ]; [ "Stdlib"; "compare" ]; [ "Poly"; "compare" ];
-    [ "Hashtbl"; "hash" ]; [ "=" ]; [ "Stdlib"; "=" ];
-  ]
+  [ [ "compare" ]; [ "Poly"; "compare" ]; [ "Hashtbl"; "hash" ]; [ "=" ] ]
+
+(* Polymorphic compare/hash that a comparator lambda in the dedicated
+   layer may apply to simple scalars only (R4). *)
+let lambda_compare_ops = [ [ "compare" ]; [ "Hashtbl"; "hash" ] ]
+
+(* Arithmetic that keeps a "simple scalar" simple inside such a
+   lambda. *)
+let arithmetic_ops =
+  [ "+"; "-"; "*"; "/"; "mod"; "land"; "lor"; "lxor"; "abs"; "~-" ]
 
 (* Sort functions recognized as R2 sanitizers. *)
 let sorters =
@@ -221,14 +186,13 @@ let sorters =
     [ "List"; "fast_sort" ];
   ]
 
-(* Commutative, associative binary operators: a [Hashtbl.fold] whose
+(* Commutative, associative Stdlib operators: a [Hashtbl.fold] whose
    body only combines the accumulator through one of these is
    insensitive to iteration order. *)
 let commutative_ops =
   [ "+"; "+."; "*"; "*."; "max"; "min"; "land"; "lor"; "lxor"; "&&"; "||" ]
 
-(* ---- typed whole-program backend (lint_cmt / lint_callgraph /
-   lint_lockset) ---- *)
+(* ---- whole-program analyses (lint_callgraph / lint_lockset) ---- *)
 
 (* Functions whose callback arguments execute on other domains.  The
    [Pool.*] entries match on a dot-boundary suffix of the resolved
@@ -242,11 +206,3 @@ let pool_callback_receivers =
   [ "Pool.map"; "Pool.filter_map"; "Pool.filter"; "Pool.for_all" ]
 
 let spawn_receivers = [ "Domain.spawn" ]
-
-(* Type constructors (resolved, normalized paths) that the typed R4/R6
-   checks protect: polymorphic operations whose argument *type*
-   mentions one of these fire regardless of how the value was reached
-   syntactically.  Derived from the module lists above so the
-   syntactic and typed backends cannot drift. *)
-let dedicated_type_names = List.map (fun m -> m ^ ".t") dedicated_modules
-let interned_type_names = List.map (fun m -> m ^ ".t") interned_modules

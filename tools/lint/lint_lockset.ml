@@ -72,22 +72,11 @@ let kind_name = function
 
 (* ---- suppressions ---- *)
 
-let rule_of_allow_payload payload =
-  match Lint_engine.string_payload payload with
-  | Some s ->
-      let rule =
-        match String.index_opt s ':' with
-        | Some i -> String.sub s 0 i
-        | None -> s
-      in
-      Some (String.trim rule)
-  | None -> None
-
 let rules_of_attrs attrs =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
-      if a.attr_name.txt = Lint_engine.allow_attr then
-        rule_of_allow_payload a.attr_payload
+      if a.attr_name.txt = Lint_cmt.allow_attr then
+        Lint_cmt.allow_rule a.attr_payload
       else None)
     attrs
 

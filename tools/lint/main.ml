@@ -1,52 +1,34 @@
 (* speedup-lint driver.
 
-   Usage: main.exe [options] <file|dir>...
+   Usage: main.exe [options] <dir|file.cmt>...
+   Arguments are directories scanned recursively for the .cmt files
+   dune emits (run it from _build/default, as the @lint rule does), or
+   single .cmt files.
+
      --baseline FILE   known findings that do not fail the run
-     --prefix P        logical path prefix for bare file arguments
-                       (per-directory dune rules pass e.g. lib/runtime/)
      --format human|json
      --emit-baseline   print a baseline; with --baseline, prune the
                        given baseline to the entries that still fire
      --rules R1,R3     restrict to a subset of rules
-     --cmt             typed whole-program mode: arguments are
-                       directories scanned recursively for .cmt files
-                       (run it from _build/default, as the @lint rule
-                       does); runs the typed R1/R3/R4/R5/R6 checks,
-                       the R7 lockset analysis, and — with
-                       --check-config — the reachability/config diff
-     --as P            (with --cmt) logical directory for the scanned
-                       modules, e.g. --as lib/closure/ for fixtures
-     --check-config    (with --cmt) fail on drift between the inferred
+     --as P            logical directory for the scanned modules,
+                       e.g. --as lib/closure/ for fixtures compiled
+                       outside dune
+     --check-config    fail on drift between the inferred
                        pool-reachable set and parallel_reachable
-     --reachability    (with --cmt) print the inferred pool-reachable
-                       set as JSON and exit
-     --locks           (with --cmt) print per-cell lockset verdicts as
-                       JSON lines and exit
+     --reachability    print the inferred pool-reachable set as JSON
+                       and exit
+     --locks           print per-cell lockset verdicts as JSON lines
+                       and exit
 
-   Exit codes: 0 clean, 1 findings, 2 usage or I/O error. *)
+   Exit codes: 0 clean, 1 findings, 2 usage error or no .cmt found. *)
 
-let usage = "speedup-lint [options] <file|dir>..."
-
-let rec collect_files acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc name ->
-           if name = "_build" || name = ".git" then acc
-           else collect_files acc (Filename.concat path name))
-         acc
-  else if
-    Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then path :: acc
-  else acc
+let usage = "speedup-lint [options] <dir|file.cmt>..."
 
 let () =
   let baseline_path = ref None in
-  let prefix = ref "" in
   let format = ref "human" in
   let emit_baseline = ref false in
   let rules = ref None in
-  let cmt = ref false in
   let as_dir = ref None in
   let check_config = ref false in
   let reachability = ref false in
@@ -57,9 +39,6 @@ let () =
       ( "--baseline",
         Arg.String (fun s -> baseline_path := Some s),
         "FILE baseline of known findings" );
-      ( "--prefix",
-        Arg.Set_string prefix,
-        "P logical path prefix for bare file arguments" );
       ("--format", Arg.Set_string format, "human|json output format");
       ( "--emit-baseline",
         Arg.Set emit_baseline,
@@ -68,10 +47,9 @@ let () =
       ( "--rules",
         Arg.String (fun s -> rules := Some (String.split_on_char ',' s)),
         "R1,R2,... restrict to these rules" );
-      ("--cmt", Arg.Set cmt, " typed whole-program mode over .cmt trees");
       ( "--as",
         Arg.String (fun s -> as_dir := Some s),
-        "P logical directory for --cmt modules (e.g. lib/closure/)" );
+        "P logical directory for the scanned modules (e.g. lib/closure/)" );
       ( "--check-config",
         Arg.Set check_config,
         " fail on inferred-reachability vs parallel_reachable drift" );
@@ -90,61 +68,42 @@ let () =
   if !format <> "human" && !format <> "json" then (
     prerr_endline "speedup-lint: --format must be human or json";
     exit 2);
+  let roots = List.rev !paths in
   List.iter
     (fun p ->
       if not (Sys.file_exists p) then (
         Printf.eprintf "speedup-lint: no such file: %s\n" p;
         exit 2))
-    (List.rev !paths);
-  (* Gather diagnostics from the selected backend; [unit_count] only
-     feeds the "N clean" message. *)
-  let diags, unit_count, unit_word =
-    if !cmt then (
-      let mods, load_diags = Lint_cmt.load ?as_dir:!as_dir (List.rev !paths) in
-      if mods = [] then (
-        Printf.eprintf
-          "speedup-lint: no .cmt files under %s (run from _build/default \
-           after a build)\n"
-          (String.concat " " (List.rev !paths));
-        exit 2);
-      let defs = Lint_callgraph.collect mods in
-      let tbl = Lint_callgraph.table defs in
-      let reach = Lint_callgraph.reachable defs tbl in
-      if !reachability then (
-        print_endline (Lint_callgraph.reachability_json defs reach);
-        exit 0);
-      let r7, verdicts = Lint_lockset.analyze ~mods ~defs ~tbl in
-      if !locks then (
-        (match verdicts with
-        | Jsonl.List items ->
-            List.iter (fun o -> print_endline (Jsonl.to_string o)) items
-        | other -> print_endline (Jsonl.to_string other));
-        exit 0);
-      let typed = List.concat_map Lint_cmt.check_module mods in
-      let drift =
-        if !check_config then Lint_callgraph.config_drift defs reach else []
-      in
-      ( List.sort_uniq Lint_diag.compare (load_diags @ typed @ r7 @ drift),
-        List.length mods,
-        "module" ))
-    else
-      (* Files named on the command line get --prefix for their logical
-         path; files found under a directory argument already carry it. *)
-      let files =
-        List.concat_map
-          (fun p ->
-            if Sys.is_directory p then
-              List.map (fun f -> ("", f)) (List.rev (collect_files [] p))
-            else [ (!prefix, p) ])
-          (List.rev !paths)
-      in
-      let diags =
-        List.concat_map
-          (fun (prefix, f) -> Lint_engine.lint_file ~prefix f)
-          files
-        |> List.sort_uniq Lint_diag.compare
-      in
-      (diags, List.length files, "file")
+    roots;
+  let mods, load_diags = Lint_cmt.load ?as_dir:!as_dir roots in
+  if mods = [] && load_diags = [] then (
+    Printf.eprintf
+      "speedup-lint: no .cmt files under %s (run from _build/default after \
+       a build)\n"
+      (String.concat " " roots);
+    exit 2);
+  let defs = Lint_callgraph.collect mods in
+  let tbl = Lint_callgraph.table defs in
+  let reach = Lint_callgraph.reachable defs tbl in
+  if !reachability then (
+    print_endline (Lint_callgraph.reachability_json defs reach);
+    exit 0);
+  let r7, verdicts = Lint_lockset.analyze ~mods ~defs ~tbl in
+  if !locks then (
+    (match verdicts with
+    | Jsonl.List items ->
+        List.iter (fun o -> print_endline (Jsonl.to_string o)) items
+    | other -> print_endline (Jsonl.to_string other));
+    exit 0);
+  let typed = List.concat_map Lint_cmt.check_module mods in
+  (* With no readable module there is no program to infer from: report
+     the load failures, not a drift against an empty inference. *)
+  let drift =
+    if !check_config && mods <> [] then Lint_callgraph.config_drift defs reach
+    else []
+  in
+  let diags =
+    List.sort_uniq Lint_diag.compare (load_diags @ typed @ r7 @ drift)
   in
   let diags =
     match !rules with
@@ -185,5 +144,5 @@ let () =
             e.rule e.file e.line)
         stale;
       if live = [] then
-        Printf.printf "speedup-lint: %d %s(s) clean\n" unit_count unit_word);
+        Printf.printf "speedup-lint: %d module(s) clean\n" (List.length mods));
   exit (if live = [] then 0 else 1)
