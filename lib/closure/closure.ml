@@ -84,6 +84,7 @@ let compute_member ?node_limit ?should_stop ~op task ~sigma ~tau =
   else
     match
       Solvability.local_task_solvable ?node_limit ?should_stop
+        ?layout_key:(Round_op.layout_key op tau)
         ~one_round:(Round_op.facets op) task ~sigma ~tau
     with
     | Solvability.Solvable f -> (true, Some f)
@@ -152,6 +153,7 @@ let witness ?node_limit ~op task ~sigma ~tau =
   let compute () =
     match
       Solvability.local_task_solvable ?node_limit
+        ?layout_key:(Round_op.layout_key op tau)
         ~one_round:(Round_op.facets op) task ~sigma ~tau
     with
     | Solvability.Solvable f -> Some f

@@ -62,6 +62,20 @@ let d_solo d = custom ~name:(Printf.sprintf "%d-solo" d) (Affine.d_solo d)
    session (Cert_registry resolves it through Algebra.parse). *)
 let algebra term = custom ~name:(Algebra.to_string term) (Algebra.facets term)
 
+(* Name-independent: fresh-named instances of one box with equal box
+   inputs share their layouts.  The box outcomes read the α values, so
+   they are part of the key. *)
+let layout_key op tau =
+  match op.kind with
+  | Plain model -> Some (Model.name model, [])
+  | Boxed (box, alpha, round) ->
+      Some
+        ( box.Black_box.name,
+          List.map
+            (fun i -> alpha ~round i (Simplex.value i tau))
+            (Simplex.ids tau) )
+  | Custom -> None
+
 let complex op sigma = Complex.of_facets (op.facets sigma)
 
 let solo_vertex op sigma i =

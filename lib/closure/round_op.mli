@@ -52,6 +52,14 @@ val persistent : t -> bool
     arbitrary functions) do not — the same ["beta#1"] could denote
     different semantics in two different sessions. *)
 
+val layout_key : t -> Simplex.t -> Solvability.layout_key option
+(** The key under which {!Solvability.local_task_solvable} shares the
+    local task's CSP layout across candidates [τ]: the model name for
+    plain models, the box name and the box inputs α of [τ]'s vertices
+    for augmented ones, and [None] for custom operators (algebra
+    terms, k-concurrency, d-solo), which are decided without sharing.
+    Independent of the operator's name, which may be session-unique. *)
+
 val complex : t -> Simplex.t -> Complex.t
 val solo_vertex : t -> Simplex.t -> int -> Vertex.t
 (** The vertex of the one-round complex where process [i] runs solo.

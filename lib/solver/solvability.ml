@@ -8,89 +8,85 @@ let is_solvable = function
   | Solvable _ -> true
   | Unsolvable | Undecided -> false
 
-(* Variable and candidate bookkeeping: protocol vertices become CSP
-   variables; output vertices of the same color become candidates. *)
+(* Stage 1, the layout: protocol vertices become CSP variables,
+   numbered in allocation order (input by input, each input's vertices
+   in [Complex.vertices] order), and every protocol facet becomes a
+   (color set, scope) pair.  Nothing here reads Δ. *)
 
-type tables = {
-  var_of : int Vertex.Tbl.t;
-  mutable vars : Vertex.t list;  (* reverse order of allocation *)
-  mutable num_vars : int;
-  cand_of : (int, int Vertex.Tbl.t) Hashtbl.t;  (* color -> vertex -> index *)
-  cands : (int, Vertex.t list ref) Hashtbl.t;   (* color -> reverse list *)
+type layout = {
+  vars : Vertex.t array;  (* variable [k] is [vars.(k)] *)
+  inputs : (int list * int array) list list;
+      (* per input, its protocol facets as (color set, variable scope) *)
 }
 
-let fresh_tables () =
-  {
-    var_of = Vertex.Tbl.create 256;
-    vars = [];
-    num_vars = 0;
-    cand_of = Hashtbl.create 16;
-    cands = Hashtbl.create 16;
-  }
-
-let var_id tb v =
-  match Vertex.Tbl.find_opt tb.var_of v with
-  | Some id -> id
-  | None ->
-      let id = tb.num_vars in
-      Vertex.Tbl.add tb.var_of v id;
-      tb.vars <- v :: tb.vars;
-      tb.num_vars <- id + 1;
-      id
-
-let color_tables tb color =
-  match Hashtbl.find_opt tb.cand_of color with
-  | Some t -> (t, Hashtbl.find tb.cands color)
-  | None ->
-      let t = Vertex.Tbl.create 64 and l = ref [] in
-      Hashtbl.add tb.cand_of color t;
-      Hashtbl.add tb.cands color l;
-      (t, l)
-
-let cand_index tb v =
-  let t, l = color_tables tb (Vertex.color v) in
-  match Vertex.Tbl.find_opt t v with
-  | Some k -> k
-  | None ->
-      let k = Vertex.Tbl.length t in
-      Vertex.Tbl.add t v k;
-      l := v :: !l;
-      k
-
-let decide ?node_limit ?should_stop ~inputs ~protocol ~delta () =
-  let tb = fresh_tables () in
-  (* Pass 1a: build the per-input protocol complexes and Δ images.
-     These are independent and often the dominant cost (protocol
-     complexes grow exponentially in rounds), so the pass fans out
-     across the domain pool.  Registration stays sequential below, in
-     input order, so variable and candidate numbering — and hence the
-     whole CSP search — is identical at every job count. *)
-  let pairs = Pool.map (fun sigma -> (protocol sigma, delta sigma)) inputs in
-  (* Pass 1b: register candidates (all Δ vertices) and variables (all
-     protocol vertices). *)
-  let raw =
-    List.map
-      (fun (p, d) ->
-        List.iter (fun v -> ignore (cand_index tb v)) (Complex.vertices d);
-        List.iter (fun v -> ignore (var_id tb v)) (Complex.vertices p);
-        (p, d))
-      pairs
+let layout protocols =
+  let var_of = Vertex.Tbl.create 256 and vars = ref [] in
+  let var_id v =
+    match Vertex.Tbl.find_opt var_of v with
+    | Some id -> id
+    | None ->
+        let id = Vertex.Tbl.length var_of in
+        Vertex.Tbl.add var_of v id;
+        vars := v :: !vars;
+        id
   in
-  let counts = Array.make tb.num_vars 0 in
+  let inputs =
+    List.map
+      (fun p ->
+        List.iter (fun v -> ignore (var_id v)) (Complex.vertices p);
+        List.map
+          (fun facet ->
+            ( Simplex.ids facet,
+              Array.of_list (List.map var_id (Simplex.vertices facet)) ))
+          (Complex.facets p))
+      protocols
+  in
+  { vars = Array.of_list (List.rev !vars); inputs }
+
+(* Stage 2, the CSP: output vertices of a variable's color become its
+   candidates (all Δ vertices, input by input, in vertex order), then
+   one table constraint per protocol facet.  The allowed tuples depend
+   only on Δ(σ') and the facet's color set, and every candidate is
+   registered before the first table, so each table is built once per
+   (input, color set) and the same array is shared by every facet with
+   that color set.  A witness maps [vertex layout.vars.(k)] to the
+   image of variable [k]: [vertex] names the protocol vertex a layout
+   variable stands for. *)
+
+let solve ?node_limit ?should_stop ~vertex layout deltas =
+  let cand_of : (int, int Vertex.Tbl.t * Vertex.t list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let color_tables color =
+    match Hashtbl.find_opt cand_of color with
+    | Some c -> c
+    | None ->
+        let c = (Vertex.Tbl.create 64, ref []) in
+        Hashtbl.add cand_of color c;
+        c
+  in
+  let cand_index v =
+    let t, l = color_tables (Vertex.color v) in
+    match Vertex.Tbl.find_opt t v with
+    | Some k -> k
+    | None ->
+        let k = Vertex.Tbl.length t in
+        Vertex.Tbl.add t v k;
+        l := v :: !l;
+        k
+  in
   List.iter
-    (fun v ->
-      let id = Vertex.Tbl.find tb.var_of v in
-      let t, _ = color_tables tb (Vertex.color v) in
-      counts.(id) <- Vertex.Tbl.length t)
-    tb.vars;
-  let csp = Csp.create ~num_vars:tb.num_vars ~candidate_counts:counts in
-  (* Pass 2: one table constraint per protocol facet.  The allowed
-     tuples depend only on Δ(σ') and the facet's color set, and pass 1b
-     has already registered every candidate, so each table is built
-     once per (input, color set) and the same array is shared by every
-     facet with that color set. *)
-  List.iter
-    (fun (p, d) ->
+    (fun d -> List.iter (fun v -> ignore (cand_index v)) (Complex.vertices d))
+    deltas;
+  let num_vars = Array.length layout.vars in
+  let counts =
+    Array.map
+      (fun v -> Vertex.Tbl.length (fst (color_tables (Vertex.color v))))
+      layout.vars
+  in
+  let csp = Csp.create ~num_vars ~candidate_counts:counts in
+  List.iter2
+    (fun facets d ->
       let by_colors = Hashtbl.create 8 in
       let table_for colors =
         match Hashtbl.find_opt by_colors colors with
@@ -100,48 +96,53 @@ let decide ?node_limit ?should_stop ~inputs ~protocol ~delta () =
               Array.of_list
                 (List.map
                    (fun s ->
-                     Array.of_list
-                       (List.map (fun w -> cand_index tb w) (Simplex.vertices s)))
+                     Array.of_list (List.map cand_index (Simplex.vertices s)))
                    (Complex.simplices_with_ids colors d))
             in
             Hashtbl.add by_colors colors tuples;
             tuples
       in
       List.iter
-        (fun facet ->
-          let scope =
-            Array.of_list
-              (List.map (fun v -> Vertex.Tbl.find tb.var_of v) (Simplex.vertices facet))
-          in
-          Csp.add_table_constraint csp ~scope ~tuples:(table_for (Simplex.ids facet)))
-        (Complex.facets p))
-    raw;
+        (fun (colors, scope) ->
+          Csp.add_table_constraint csp ~scope ~tuples:(table_for colors))
+        facets)
+    layout.inputs deltas;
   let result = Csp.solve ?node_limit ?should_stop csp in
   Log.debug (fun m ->
       let stats = Csp.last_stats csp in
       m "instance: %d inputs, %d variables; search: %d nodes, %d revisions"
-        (List.length inputs) tb.num_vars stats.Csp.nodes stats.Csp.revisions);
+        (List.length deltas) num_vars stats.Csp.nodes stats.Csp.revisions);
   match result with
   | Csp.Unsat -> Unsolvable
   | Csp.Unknown -> Undecided
   | Csp.Sat assignment ->
-      (* Rebuild the vertex-level map from candidate indices. *)
-      let cand_arrays = Hashtbl.create 16 in
-      (Hashtbl.iter
-         (fun color l ->
-           let arr = Array.of_list (List.rev !l) in
-           Hashtbl.add cand_arrays color arr)
-         tb.cands
-       [@lint.allow "R2: builds a key-indexed copy; iteration order is irrelevant"]);
-      let pairs =
-        List.map
-          (fun v ->
-            let id = Vertex.Tbl.find tb.var_of v in
-            let arr = Hashtbl.find cand_arrays (Vertex.color v) in
-            (v, arr.(assignment.(id))))
-          tb.vars
+      let cands = Hashtbl.create 16 in
+      let candidates color =
+        match Hashtbl.find_opt cands color with
+        | Some arr -> arr
+        | None ->
+            let arr = Array.of_list (List.rev !(snd (color_tables color))) in
+            Hashtbl.add cands color arr;
+            arr
       in
-      Solvable (Simplicial_map.of_assoc pairs)
+      Solvable
+        (Simplicial_map.of_assoc
+           (List.mapi
+              (fun k v ->
+                (vertex v, (candidates (Vertex.color v)).(assignment.(k))))
+              (Array.to_list layout.vars)))
+
+let decide ?node_limit ?should_stop ~inputs ~protocol ~delta () =
+  (* The per-input protocol complexes and Δ images are independent and
+     often the dominant cost (protocol complexes grow exponentially in
+     rounds), so they fan out across the domain pool.  The layout and
+     the CSP are built sequentially, in input order, so variable and
+     candidate numbering — and hence the whole search — is identical
+     at every job count. *)
+  let pairs = Pool.map (fun sigma -> (protocol sigma, delta sigma)) inputs in
+  solve ?node_limit ?should_stop ~vertex:Fun.id
+    (layout (List.map fst pairs))
+    (List.map snd pairs)
 
 let task_in_model ?node_limit ?should_stop ?inputs model task ~rounds =
   let inputs =
@@ -201,9 +202,94 @@ let min_rounds ?node_limit ?inputs ?(max_rounds = 6) model task =
   in
   scan 0
 
-let local_task_solvable ?node_limit ?should_stop ~one_round task ~sigma ~tau =
+(* ---- local tasks: one layout per (operator, color set) ---- *)
+
+type layout_key = string * Value.t list
+
+(* Ξ₁(τ') depends on τ's values only through the relabeling χ, so the
+   layout of Π_{τ,σ} — built from the first τ seen with a given key and
+   color set — serves every later τ: [Vertex.compare] orders one color
+   set's vertices by color, seen-id list and box output, never by τ's
+   values, so variable numbering, scopes and facet order coincide and
+   χ maps τ₀'s variables onto τ's.  Entries are pure functions of their
+   keys up to that relabeling: when two domains race on a miss, the
+   first insert stands and both instantiate the same layout.  Probe
+   under the lock, build outside it, insert under it. *)
+module Layout_tbl = Hashtbl.Make (struct
+  type t = layout_key * int list
+
+  let equal ((op, alphas), ids) ((op', alphas'), ids') =
+    String.equal op op'
+    && List.equal Value.equal alphas alphas'
+    && List.equal Int.equal ids ids'
+
+  let hash ((op, alphas), ids) = Hashtbl.hash (op, List.map Value.hash alphas, ids)
+end)
+
+let layouts_lock = Mutex.create ()
+
+let layouts : (Simplex.t * layout) Layout_tbl.t = Layout_tbl.create 64
+[@@lint.allow "R1: every access is under layouts_lock (see comment above)"]
+
+let layout_hits = Atomic.make 0
+
+type layout_stats = { layouts : int; layout_hits : int }
+
+let layout_stats () =
+  {
+    layouts = Mutex.protect layouts_lock (fun () -> Layout_tbl.length layouts);
+    layout_hits = Atomic.get layout_hits;
+  }
+
+(* The layout of τ's faces under [key], and the relabeling χ from the
+   τ₀ it was built from onto τ. *)
+let instantiate key ~one_round tau =
+  let key = (key, Simplex.ids tau) in
+  let tau0, layout0 =
+    match
+      Mutex.protect layouts_lock (fun () -> Layout_tbl.find_opt layouts key)
+    with
+    | Some entry ->
+        Atomic.incr layout_hits;
+        entry
+    | None ->
+        let entry =
+          ( tau,
+            layout
+              (List.map
+                 (fun tau' -> Complex.of_facets (one_round tau'))
+                 (Simplex.faces tau)) )
+        in
+        Mutex.protect layouts_lock (fun () ->
+            match Layout_tbl.find_opt layouts key with
+            | Some first -> first
+            | None ->
+                Layout_tbl.add layouts key entry;
+                entry)
+  in
+  let vertex =
+    if Simplex.equal tau0 tau then Fun.id else Model.chi ~from_:tau0 ~to_:tau
+  in
+  (layout0, vertex)
+
+let layout_protocols key ~one_round tau =
+  let layout0, vertex = instantiate key ~one_round tau in
+  List.map
+    (List.map (fun (_, scope) ->
+         Simplex.of_vertices
+           (Array.to_list (Array.map (fun k -> vertex layout0.vars.(k)) scope))))
+    layout0.inputs
+
+let local_task_solvable ?node_limit ?should_stop ?layout_key ~one_round task
+    ~sigma ~tau =
   let local = Local_task.make task ~sigma ~tau in
-  decide ?node_limit ?should_stop
-    ~inputs:(Simplex.faces tau)
-    ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
-    ~delta:(Task.delta local) ()
+  let faces = Simplex.faces tau in
+  let delta = Task.delta local in
+  match layout_key with
+  | None ->
+      decide ?node_limit ?should_stop ~inputs:faces
+        ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
+        ~delta ()
+  | Some key ->
+      let layout0, vertex = instantiate key ~one_round tau in
+      solve ?node_limit ?should_stop ~vertex layout0 (List.map delta faces)

@@ -54,13 +54,42 @@ val min_rounds :
     [t = 0, 1, …, max_rounds] (default 6).  [None] if none is found (or
     a scan step was undecided). *)
 
+type layout_key = string * Value.t list
+(** Names a one-round operator up to the values of τ: the operator's
+    semantics (model or box name) and whatever of τ's values the
+    one-round complex reads besides the views (the box inputs α of
+    τ's vertices, in color order; [[]] for the plain models).  Two
+    simplices with equal keys and color sets must have one-round
+    complexes related by the relabeling χ ({!Model.chi}). *)
+
 val local_task_solvable :
   ?node_limit:int ->
   ?should_stop:(unit -> bool) ->
+  ?layout_key:layout_key ->
   one_round:(Simplex.t -> Simplex.t list) ->
   Task.t -> sigma:Simplex.t -> tau:Simplex.t ->
   verdict
 (** One-round solvability of the local task [Π_{τ,σ}] — the membership
     test of Definition 2.  [one_round] produces the facets of the
     one-round protocol complex of the model under consideration (plain
-    or augmented). *)
+    or augmented).
+
+    With [layout_key], the CSP layout (variables, facet scopes) of the
+    faces of τ is read from a process-wide table keyed by
+    ([layout_key], ID(τ)), built from the first τ seen with that key,
+    and the witness is relabeled onto τ with {!Model.chi}: verdicts
+    and witnesses are exactly those of the unkeyed path, which builds
+    the layout from [one_round] on every call. *)
+
+val layout_protocols :
+  layout_key -> one_round:(Simplex.t -> Simplex.t list) -> Simplex.t ->
+  Simplex.t list list
+(** The protocol facets of every face of τ (in {!Simplex.faces} order)
+    exactly as the keyed path of {!local_task_solvable} sees them:
+    read from the shared layout and relabeled onto τ.  A test hook,
+    for comparing against [Complex.of_facets (one_round τ')]. *)
+
+type layout_stats = { layouts : int; layout_hits : int }
+(** Entries of the layout table, and lookups it answered. *)
+
+val layout_stats : unit -> layout_stats

@@ -20,3 +20,20 @@ let locked_add n =
 
 let run xs = Pool.map (fun x -> protected_incr (); x + aliased_read ()) xs
 let total () = locked_add 1
+
+(* A type-annotated cell is a cell; a parameter that shadows it is not
+   an access to it; a local callback passed by name to Mutex.protect
+   runs with the lock held; a Hashtbl.Make instance of any name is a
+   table. *)
+let memo : (int, int) Hashtbl.t = Hashtbl.create 8
+let probe k = Mutex.protect lock (fun () -> Hashtbl.find_opt memo k)
+let cached ?(memo = true) k = if memo then probe k else None
+
+let store k v =
+  let insert () = Hashtbl.replace memo k v in
+  Mutex.protect lock insert
+
+module Keyed = Hashtbl.Make (Int)
+
+let keyed = Keyed.create 8
+let mark k = Mutex.protect lock (fun () -> Keyed.replace keyed k ())

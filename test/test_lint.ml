@@ -139,8 +139,10 @@ let check_run label ~expected_code expected (code, lines) =
   Alcotest.(check (list (pair string int))) label expected (rule_lines lines)
 
 let test_r1 () =
+  (* The cell is type-annotated and read with no lock on line 2, so R7
+     reports that read wherever R1 reports the cell. *)
   check_run "bad: top-level Hashtbl in pool-reachable lib" ~expected_code:1
-    [ ("R1", 1) ]
+    [ ("R1", 1); ("R7", 2) ]
     (lint ~dir:"lib/models/" "r1_bad.ml");
   check_run "good: Atomic + function-local ref" ~expected_code:0 []
     (lint ~dir:"lib/models/" "r1_good.ml");
@@ -237,11 +239,11 @@ let test_r6 () =
    (nested-directory classification) and [interned_modules]. *)
 let test_algebra_scope () =
   check_run "R1 applies inside lib/models/algebra" ~expected_code:1
-    [ ("R1", 1) ]
+    [ ("R1", 1); ("R7", 2) ]
     (lint ~dir:"lib/models/algebra/" "r1_bad.ml");
   (* An unlisted nested directory inherits the parent tree's scope. *)
   check_run "unlisted nested dir inherits lib/models scope" ~expected_code:1
-    [ ("R1", 1) ]
+    [ ("R1", 1); ("R7", 2) ]
     (lint ~dir:"lib/models/viz/" "r1_bad.ml");
   check_run "bad: structural ops on interned Algebra terms" ~expected_code:1
     [ ("R6", 1); ("R6", 2); ("R6", 3) ]
@@ -340,15 +342,36 @@ let test_r7_typed () =
   let dir = compile_fixtures [ "r7_good/good.ml" ] in
   check_run "good: consistent locksets (incl. alias)" ~expected_code:0 []
     (run_lint [ "--as"; "lib/closure/"; "--rules"; "R7"; dir ]);
+  (* The type-annotated cell and the Hashtbl.Make instance are cells
+     with a verdict: a shadowing parameter is not an access, and a
+     local callback passed by name to Mutex.protect holds the lock. *)
+  let _, verdicts = run_lint [ "--as"; "lib/closure/"; "--locks"; dir ] in
+  List.iter
+    (fun cell ->
+      let line =
+        List.find_opt
+          (contains_substring (Printf.sprintf {|"cell": "%s"|} cell))
+          verdicts
+      in
+      Alcotest.(check bool)
+        (cell ^ " verified under Good.lock")
+        true
+        (match line with
+        | Some l ->
+            contains_substring {|"verdict": "verified", "locks": ["Good.lock"]|} l
+        | None -> false))
+    [ "Good.memo"; "Good.keyed" ];
   (* Seeded violations: empty lockset on [unguarded] (line 11) and a
      lock_a/lock_b split on [split], reported at the access that
-     breaks the running intersection (line 13). *)
+     breaks the running intersection (line 13); a named callback that
+     is also called directly (line 21) and an unguarded Hashtbl.Make
+     instance (line 28). *)
   let dir = compile_fixtures [ "r7_bad/bad.ml" ] in
   let code, lines =
     run_lint [ "--as"; "lib/closure/"; "--rules"; "R7"; dir ]
   in
   check_run "bad: empty and inconsistent locksets" ~expected_code:1
-    [ ("R7", 11); ("R7", 13) ]
+    [ ("R7", 11); ("R7", 13); ("R7", 21); ("R7", 28) ]
     (code, lines);
   check_mentions "empty lockset names the cell" "'Bad.unguarded'" lines;
   check_mentions "inconsistency names both locks" "{Bad.lock_b}" lines;

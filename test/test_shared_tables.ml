@@ -110,33 +110,53 @@ let local_delta task sigma tau' =
   | [ v ] -> Complex.of_simplex (Simplex.singleton v)
   | _ -> Complex.proj (Simplex.ids tau') (Task.delta task sigma)
 
-(* Every τ of the n = 3 consensus closure enumeration under Immediate
-   that needs a solver run (τ ∉ Δ(σ)): [Solvability.local_task_solvable]
-   against the unshared tables over the directly built local Δ. *)
-let test_consensus_closure_taus () =
-  let task = Consensus.binary ~n:3 in
-  let one_round = Round_op.facets (Round_op.plain Model.Immediate) in
-  let checked = ref 0 in
+(* Every τ of the given closure enumerations that needs a solver run
+   (τ ∉ Δ(σ)): [Solvability.local_task_solvable], with the layout key
+   [key τ], against the unshared tables over the directly built local
+   Δ — verdict and witness map.  Returns how many of them were
+   solvable. *)
+let check_hard_taus ~key ~one_round ~inputs tasks =
+  let checked = ref 0 and witnessed = ref 0 in
   List.iter
-    (fun sigma ->
-      let zero = Task.delta task sigma in
+    (fun task ->
       List.iter
-        (fun tau ->
-          if not (Complex.mem tau zero) then begin
-            incr checked;
-            Alcotest.(check bool)
-              (Printf.sprintf "σ=%s τ=%s" (Simplex.to_string sigma)
-                 (Simplex.to_string tau))
-              true
-              (same_verdict
-                 (Solvability.local_task_solvable ~one_round task ~sigma ~tau)
-                 (decide_unshared ~inputs:(Simplex.faces tau)
-                    ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
-                    ~delta:(local_delta task sigma)))
-          end)
-        (Task.chromatic_output_sets task sigma))
-    (List.filter (fun s -> Simplex.card s = 3) (Task.input_simplices task));
-  Alcotest.(check bool) "some τ needed a solver run" true (!checked > 0)
+        (fun sigma ->
+          let zero = Task.delta task sigma in
+          List.iter
+            (fun tau ->
+              if not (Complex.mem tau zero) then begin
+                incr checked;
+                let verdict =
+                  Solvability.local_task_solvable ?layout_key:(key tau)
+                    ~one_round task ~sigma ~tau
+                in
+                if Solvability.is_solvable verdict then incr witnessed;
+                Alcotest.(check bool)
+                  (Printf.sprintf "σ=%s τ=%s" (Simplex.to_string sigma)
+                     (Simplex.to_string tau))
+                  true
+                  (same_verdict verdict
+                     (decide_unshared ~inputs:(Simplex.faces tau)
+                        ~protocol:(fun tau' ->
+                          Complex.of_facets (one_round tau'))
+                        ~delta:(local_delta task sigma)))
+              end)
+            (Task.chromatic_output_sets task sigma))
+        (inputs task))
+    tasks;
+  Alcotest.(check bool) "some τ needed a solver run" true (!checked > 0);
+  !witnessed
+
+(* The unkeyed path (custom operators): the n = 3 consensus closure
+   under Immediate, triangles only. *)
+let test_consensus_closure_taus () =
+  ignore
+    (check_hard_taus
+       ~key:(fun _ -> None)
+       ~one_round:(Round_op.facets (Round_op.plain Model.Immediate))
+       ~inputs:(fun task ->
+         List.filter (fun s -> Simplex.card s = 3) (Task.input_simplices task))
+       [ Consensus.binary ~n:3 ])
 
 (* Two candidates of one σ that agree on colors {1, 2} read the same
    physical Δ on that shared face: the projection of Δ(σ) is built once
@@ -151,6 +171,63 @@ let test_local_delta_shared () =
   Alcotest.check (Alcotest.testable Complex.pp Complex.equal) "Definition 1"
     (local_delta task sigma face) d0;
   Alcotest.(check bool) "one physical Δ on the shared face" true (d0 == d1)
+
+(* The keyed path: [Closure] passes [Round_op.layout_key], so every τ
+   with the same key and color set reads one shared layout and has its
+   witness relabeled by χ.  Each hard τ of two closures at n = 3, over
+   every input simplex (so every color set gets its own entry), is
+   checked against the unshared oracle.  In consensus every hard τ is
+   refuted under the plain models, so the coarse AA task supplies the
+   witnesses there.  The last operator's box inputs are τ's own
+   values, so a key that dropped the α values would hand τ = (0, 0, 1)
+   the layout of τ₀ = (1, 1, 0), whose box outputs differ. *)
+let keyed_ops =
+  [
+    ("immediate", Round_op.plain Model.Immediate);
+    ("snapshot", Round_op.plain Model.Snapshot);
+    ("collect", Round_op.plain Model.Collect);
+    ("test&set", Round_op.test_and_set);
+    ("bin-consensus β", Round_op.bin_consensus_beta (fun i -> i mod 2 = 0));
+    ( "bin-consensus on inputs",
+      Round_op.augmented ~box:Black_box.bin_consensus
+        ~alpha:(fun ~round:_ _ x -> x)
+        ~round:1 );
+  ]
+
+let test_keyed_layouts op () =
+  let witnessed =
+    check_hard_taus ~key:(Round_op.layout_key op) ~one_round:(Round_op.facets op)
+      ~inputs:Task.input_simplices
+      [ Consensus.binary ~n:3; Approx_agreement.task ~n:3 ~m:2 ~eps:Frac.half ]
+  in
+  Alcotest.(check bool) "some τ had a witness" true (witnessed > 0)
+
+(* The shared layout, relabeled onto a random τ, is Ξ₁ of each face of
+   τ facet by facet (same facets, same order). *)
+let prop_layout_is_one_round =
+  let ops = Array.of_list (List.map snd keyed_ops) in
+  QCheck2.Test.make ~name:"shared layout = one-round complex (random τ)"
+    ~count:200
+    QCheck2.Gen.(
+      triple (int_bound (Array.length ops - 1)) (int_range 1 7)
+        (list_repeat 3 (int_bound 2)))
+    (fun (k, mask, values) ->
+      let op = ops.(k) in
+      let tau =
+        Simplex.of_list
+          (List.filteri
+             (fun i _ -> mask land (1 lsl i) <> 0)
+             (List.mapi (fun i x -> (i + 1, Value.Int x)) values))
+      in
+      let one_round = Round_op.facets op in
+      match Round_op.layout_key op tau with
+      | None -> false
+      | Some key ->
+          List.equal (List.equal Simplex.equal)
+            (Solvability.layout_protocols key ~one_round tau)
+            (List.map
+               (fun tau' -> Complex.facets (Complex.of_facets (one_round tau')))
+               (Simplex.faces tau)))
 
 (* One input's protocol facets with three different color sets.  The
    protocol complex of σ is σ's own 1-skeleton, and Δ(σ) is a graph of
@@ -200,6 +277,14 @@ let suite =
         (prop_random_tasks "shared = unshared tables (random 0/1/2 tasks)"
            Gen.random_task);
       Alcotest.test_case "n=3 consensus closure τs" `Quick test_consensus_closure_taus;
+      QCheck_alcotest.to_alcotest prop_layout_is_one_round;
+    ]
+    @ List.map
+        (fun (label, op) ->
+          Alcotest.test_case ("keyed layouts: " ^ label) `Quick
+            (test_keyed_layouts op))
+        keyed_ops
+    @ [
       Alcotest.test_case "local Δ shared across τ" `Quick test_local_delta_shared;
       Alcotest.test_case "facets with different color sets" `Quick
         test_mixed_color_sets;

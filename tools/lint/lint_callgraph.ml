@@ -66,7 +66,9 @@ let collect (mods : Lint_cmt.modl list) =
               List.iter
                 (fun vb ->
                   match vb.vb_pat.pat_desc with
-                  | Tpat_var (_, name) ->
+                  | Tpat_var (_, name)
+                  (* [let x : t = …] types as [(_ as x) : t] *)
+                  | Tpat_alias ({ pat_desc = Tpat_any; _ }, _, name) ->
                       let alias =
                         match vb.vb_expr.exp_desc with
                         | Texp_ident (p, _, _) -> Some p
@@ -128,17 +130,42 @@ let canonical tbl id =
 
 (* ---- mention / call-site extraction ---- *)
 
+(* Identifiers bound inside [e]: parameters, [let]s, match cases. *)
+let bound_idents e =
+  let bound = ref Ident.Set.empty in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun it p ->
+    (match p.pat_desc with
+    | Tpat_var (id, _) | Tpat_alias (_, id, _) ->
+        bound := Ident.Set.add id !bound
+    | _ -> ());
+    Tast_iterator.default_iterator.pat it p
+  in
+  let it = { Tast_iterator.default_iterator with pat } in
+  it.expr it e;
+  !bound
+
 (* A mention is a resolved identifier: [`Global id] for definitions
-   and dotted externals, [`Local] for function-scoped values. *)
-let resolve_ident tbl stack p =
-  let raw = Path.name p in
-  if String.contains raw '.' then
-    `Global
-      (Lint_cmt.resolve_in ~mem:(Hashtbl.mem tbl) ~stack
-         (Lint_cmt.norm_components p))
-  else
-    let cand = Lint_cmt.resolve_in ~mem:(Hashtbl.mem tbl) ~stack [ raw ] in
-    if Hashtbl.mem tbl cand then `Global cand else `Local
+   and dotted externals, [`Local] for function-scoped values.  A bare
+   name bound inside the definition's own body is local even when a
+   global of the same name exists ([?(memo = true)] next to a
+   top-level [memo]). *)
+let resolve_ident tbl (d : def) =
+  let locals = bound_idents d.body in
+  fun p ->
+    let raw = Path.name p in
+    if String.contains raw '.' then
+      `Global
+        (Lint_cmt.resolve_in ~mem:(Hashtbl.mem tbl) ~stack:d.stack
+           (Lint_cmt.norm_components p))
+    else
+      match p with
+      | Path.Pident id when Ident.Set.mem id locals -> `Local
+      | _ ->
+          let cand =
+            Lint_cmt.resolve_in ~mem:(Hashtbl.mem tbl) ~stack:d.stack [ raw ]
+          in
+          if Hashtbl.mem tbl cand then `Global cand else `Local
 
 (* All mentions in [e]; [has_local] reports whether any local value is
    referenced (rule 3). *)
@@ -201,7 +228,7 @@ let reachable defs tbl =
   let infos =
     List.map
       (fun d ->
-        let resolve = resolve_ident tbl d.stack in
+        let resolve = resolve_ident tbl d in
         let mentions, _ = scan_mentions resolve d.body in
         (d, mentions, scan_calls resolve d.body))
       defs

@@ -207,7 +207,7 @@ type cell_kind = Ref | Table | Array | Record | Dls | Other
    aliased modules are seen through); records consult the typed
    mutability of their labels (so aliased record types are too).
    Returns the kind and a display name. *)
-let creator_kind_of_path p =
+let creator_kind_of_path p (vd : Types.value_description) =
   let comps = norm_components p in
   if path_in Lint_config.mutable_creators p then
     let kind =
@@ -222,13 +222,17 @@ let creator_kind_of_path p =
   else
     match List.rev comps with
     | "create" :: "Tbl" :: _ -> Some (Table, String.concat "." comps)
+    | "create" :: _
+    (* a [Hashtbl.Make] instance of any name declares it in hashtbl.mli *)
+      when Filename.basename vd.val_loc.loc_start.pos_fname = "hashtbl.mli" ->
+        Some (Table, String.concat "." comps)
     | _ -> None
 
 let rec creator_kind (e : expression) =
   match e.exp_desc with
   | Texp_apply (f, _) -> (
       match f.exp_desc with
-      | Texp_ident (p, _, _) -> creator_kind_of_path p
+      | Texp_ident (p, _, vd) -> creator_kind_of_path p vd
       | _ -> None)
   | Texp_record { fields; _ } ->
       if

@@ -101,7 +101,7 @@ let mutex_lock_arg (e : expression) =
 
 let walk_def ~tbl ~cells ~record_access ~record_site
     (d : Lint_callgraph.def) =
-  let resolve = Lint_callgraph.resolve_ident tbl d.stack in
+  let resolve = Lint_callgraph.resolve_ident tbl d in
   let canon id = Lint_callgraph.canonical tbl id in
   let locks = ref S.empty in
   let context = ref d.id in
@@ -117,6 +117,47 @@ let walk_def ~tbl ~cells ~record_access ~record_site
     | Texp_field (_, _, lbl) -> Some ("<field:" ^ lbl.Types.lbl_name ^ ">")
     | _ -> None
   in
+  let is_protect p =
+    match resolve p with
+    | `Global id -> Lint_cmt.dot_suffix (canon id) "Mutex.protect"
+    | `Local -> false
+  in
+  (* A local function passed by name, [Mutex.protect m probe], runs
+     with [m] held.  Its body is credited with the locks common to its
+     uses when every use is such a callback argument; any other use (a
+     call, an escape) voids the credit. *)
+  let credit = ref Ident.Map.empty in
+  let note id locks =
+    credit :=
+      Ident.Map.update id
+        (function
+          | None -> Some locks
+          | Some prev ->
+              Some (Option.bind prev (fun a -> Option.map (S.inter a) locks)))
+        !credit
+  in
+  let scan =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          match e.exp_desc with
+          | Texp_apply
+              ( { exp_desc = Texp_ident (p, _, _); _ },
+                [ (_, Some m); (_, Some { exp_desc = Texp_ident (Pident id, _, _); _ }) ] )
+            when is_protect p ->
+              note id (Option.map S.singleton (lock_name m));
+              it.expr it m
+          | Texp_ident (Pident id, _, _) -> note id None
+          | _ -> Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  scan.expr scan d.body;
+  let credited id =
+    match Ident.Map.find_opt id !credit with
+    | Some (Some locks) -> locks
+    | Some None | None -> S.empty
+  in
   let it =
     {
       Tast_iterator.default_iterator with
@@ -125,6 +166,17 @@ let walk_def ~tbl ~cells ~record_access ~record_site
           let visit c = it.Tast_iterator.expr it c in
           let default () = Tast_iterator.default_iterator.expr it e in
           match e.exp_desc with
+          | Texp_let (_, vbs, body) ->
+              List.iter
+                (fun vb ->
+                  let saved = !locks in
+                  (match vb.vb_pat.pat_desc with
+                  | Tpat_var (id, _) -> locks := S.union (credited id) saved
+                  | _ -> ());
+                  visit vb.vb_expr;
+                  locks := saved)
+                vbs;
+              visit body
           | Texp_ident (p, _, _) -> (
               match resolve p with
               | `Global id ->
