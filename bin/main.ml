@@ -1068,14 +1068,17 @@ let () =
   | Some ("1" | "true" | "yes") ->
       let m = Closure.memo_stats () in
       let s = Cert.Store.stats () in
-      let l = Solvability.layout_stats () in
+      let l = Solvability.stats () in
+      let c = Csp.totals () in
       Printf.eprintf
         "closure-stats: memo_hits=%d memo_misses=%d enumerations=%d \
          entries=%d store_hits=%d store_misses=%d store_writes=%d \
-         store_corrupt=%d layouts=%d layout_hits=%d\n"
+         store_corrupt=%d layouts=%d layout_hits=%d csp_solves=%d \
+         csp_nodes=%d index_tables=%d\n"
         m.Closure.hits m.Closure.misses m.Closure.enumerations m.Closure.entries
         s.Cert_store.hits s.Cert_store.misses s.Cert_store.writes
-        s.Cert_store.corrupt l.Solvability.layouts l.Solvability.layout_hits;
+        s.Cert_store.corrupt l.Solvability.layouts l.Solvability.layout_hits
+        c.Csp.solves c.Csp.nodes_searched l.Solvability.index_tables;
       (* Scheduler counters on their own greppable line: contention
          regressions (no steals, lopsided domains)
          should be observable, not inferred from wall clocks. *)

@@ -79,11 +79,11 @@ exception Undecided_local_task of { sigma : Simplex.t; tau : Simplex.t }
    (simplices of Δ(σ) are always in Δ'(σ), Remark after Definition 2)
    needs no witness; a one-round membership carries the local-task
    decision map found by the solver. *)
-let compute_member ?node_limit ?should_stop ~op task ~sigma ~tau =
+let compute_member ?node_limit ?should_stop ?index ~op task ~sigma ~tau =
   if Complex.mem tau (Task.delta task sigma) then (true, None)
   else
     match
-      Solvability.local_task_solvable ?node_limit ?should_stop
+      Solvability.local_task_solvable ?node_limit ?should_stop ?index
         ?layout_key:(Round_op.layout_key op tau)
         ~one_round:(Round_op.facets op) task ~sigma ~tau
     with
@@ -136,10 +136,10 @@ let project_membership = function
 (* Read-through ([Cert.cached]): a store entry is only accepted after
    [Cert.verify] re-validates every witness; anything else is
    quarantined and recomputed. *)
-let tau_member ?node_limit ~op task ~sigma ~tau =
+let member ?node_limit ?index ~op task ~sigma ~tau =
   Complex.mem tau (Task.delta task sigma)
   ||
-  let compute () = compute_member ?node_limit ~op task ~sigma ~tau in
+  let compute () = compute_member ?node_limit ?index ~op task ~sigma ~tau in
   fst
     (if not (store_ready op task) then compute ()
      else
@@ -148,6 +148,9 @@ let tau_member ?node_limit ~op task ~sigma ~tau =
          (member_query op task ~sigma ~tau)
          project_membership ~compute
          ~certify:(fun r -> Some (membership op task ~sigma ~tau r)))
+
+let tau_member ?node_limit ~op task ~sigma ~tau =
+  member ?node_limit ~op task ~sigma ~tau
 
 let witness ?node_limit ~op task ~sigma ~tau =
   let compute () =
@@ -192,7 +195,9 @@ let witness ?node_limit ~op task ~sigma ~tau =
    The zero-round shortcut (τ ∈ Δ(σ), a memoized set lookup) is
    sub-millisecond, so it is decided inline on the calling domain;
    only the real CSP searches — each an independent solver run — fan
-   out across the domain pool.  The order-preserving merge keeps the
+   out across the domain pool.  Their shared candidates and tables
+   (the solver's per-σ index) are built first, on this domain, and
+   only read by the workers.  The order-preserving merge keeps the
    member list — and hence Δ' — identical at every job count. *)
 let enumerate ?node_limit ?should_stop ~op task sigma =
   Atomic.incr enumeration_count;
@@ -203,9 +208,14 @@ let enumerate ?node_limit ?should_stop ~op task sigma =
     List.filter_map (fun (tau, z) -> if z then None else Some tau) tagged
   in
   let searched =
-    Pool.map
-      (fun tau -> compute_member ?node_limit ?should_stop ~op task ~sigma ~tau)
-      hard
+    match hard with
+    | [] -> []
+    | _ ->
+        let index = Solvability.index task sigma in
+        Pool.map
+          (fun tau ->
+            compute_member ?node_limit ?should_stop ~index ~op task ~sigma ~tau)
+          hard
   in
   (* Reassemble in candidate order: zero-round members carry no
      witness (exactly what [compute_member] returns for them), CSP
@@ -264,12 +274,16 @@ let delta_any ?node_limit ?(memo = true) ~ops ~name task sigma =
         List.filter_map (fun (tau, z) -> if z then None else Some tau) tagged
       in
       let verdicts =
-        Pool.map
-          (fun tau ->
-            List.exists
-              (fun op -> tau_member ?node_limit ~op task ~sigma ~tau)
-              ops)
-          hard
+        match hard with
+        | [] -> []
+        | _ ->
+            let index = Solvability.index task sigma in
+            Pool.map
+              (fun tau ->
+                List.exists
+                  (fun op -> member ?node_limit ~index ~op task ~sigma ~tau)
+                  ops)
+              hard
       in
       let rec merge tagged verdicts =
         match tagged with

@@ -1,5 +1,8 @@
 (** A table-constraint CSP solver (generalized arc consistency +
     backtracking with trailing), tailored to simplicial-map search.
+    Domains and tables are bitsets: a revision ANDs, over the scope,
+    the ORed supports of each variable's alive values, then drops the
+    values whose support misses the live tuples.
 
     Variables are the vertices of a protocol complex; the domain of a
     variable is a set of output vertices of the same color; every
@@ -16,12 +19,33 @@ val create : num_vars:int -> candidate_counts:int array -> t
 (** [candidate_counts.(v)] is the number of candidate values of
     variable [v]; initial domains are full. *)
 
+type table
+(** A tuple table compiled into support bitsets: for each (position,
+    value), the set of tuples using that value, in 63-bit words.  It
+    is immutable, so one compiled table may back any number of
+    constraints, in any number of problems and domains. *)
+
+val compile : arity:int -> int array array -> table
+(** Each tuple gives one allowed combination of candidate indices.
+    An empty tuple array makes every constraint on the table
+    unsatisfiable.
+    @raise Invalid_argument ["Csp.compile: tuple arity mismatch"] or
+    ["Csp.compile: negative tuple value"]. *)
+
+val tuples : table -> int array array
+(** The compiled tuples, in their original order. *)
+
+val add_table : t -> scope:int array -> table -> unit
+(** Constrain the variables of [scope] (aligned with the table's
+    positions) to one of the table's tuples.
+    @raise Invalid_argument ["Csp.add_table: tuple arity mismatch"],
+    ["Csp.add_table: scope variable out of range"], or
+    ["Csp.add_table: tuple value out of range"] when a tuple value is
+    not a candidate of its scope variable. *)
+
 val add_table_constraint : t -> scope:int array -> tuples:int array array -> unit
-(** [scope] lists variables; each tuple gives one allowed combination
-    of candidate indices, aligned with [scope].  An empty tuple list
-    makes the problem unsatisfiable.  The solver only reads [tuples] and
-    keeps a reference to it, so one table may be shared by several
-    constraints; it must not be mutated afterwards. *)
+(** [add_table] of the compiled [tuples], with the same checks under
+    the name ["Csp.add_table_constraint"]. *)
 
 val pin : t -> var:int -> value:int -> unit
 (** Restrict a variable's domain to a single candidate. *)
@@ -46,3 +70,9 @@ type stats = { nodes : int; revisions : int }
 
 val last_stats : t -> stats
 (** All-zero before the first [solve]. *)
+
+type totals = { solves : int; nodes_searched : int }
+(** Over the whole process: {!solve} calls, and search nodes they
+    explored. *)
+
+val totals : unit -> totals

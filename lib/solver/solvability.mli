@@ -62,10 +62,21 @@ type layout_key = string * Value.t list
     simplices with equal keys and color sets must have one-round
     complexes related by the relabeling χ ({!Model.chi}). *)
 
+type index
+(** What the local tasks [Π_{τ,σ}] of one σ share, for every τ: the
+    candidates of each color of [Δ(σ)] (numbered as
+    [Complex.vertices_of_color]), their ids, and the compiled table of
+    every face color set of σ with two or more colors.  Immutable once
+    built, so one index may be read from any number of domains. *)
+
+val index : Task.t -> Simplex.t -> index
+(** [index task σ]. *)
+
 val local_task_solvable :
   ?node_limit:int ->
   ?should_stop:(unit -> bool) ->
   ?layout_key:layout_key ->
+  ?index:index ->
   one_round:(Simplex.t -> Simplex.t list) ->
   Task.t -> sigma:Simplex.t -> tau:Simplex.t ->
   verdict
@@ -74,12 +85,23 @@ val local_task_solvable :
     one-round protocol complex of the model under consideration (plain
     or augmented).
 
-    With [layout_key], the CSP layout (variables, facet scopes) of the
-    faces of τ is read from a process-wide table keyed by
-    ([layout_key], ID(τ)), built from the first τ seen with that key,
-    and the witness is relabeled onto τ with {!Model.chi}: verdicts
-    and witnesses are exactly those of the unkeyed path, which builds
-    the layout from [one_round] on every call. *)
+    Candidates and tables come from [index], which must be
+    [index task σ] (built here when absent); τ's vertices are pinned
+    on its solo faces.  With [layout_key], the CSP layout (variables,
+    facet scopes) of the faces of τ is read from a process-wide table
+    keyed by ([layout_key], ID(τ)), built from the first τ seen with
+    that key, and the witness is relabeled onto τ with {!Model.chi}:
+    verdicts and witnesses are exactly those of the unkeyed path,
+    which builds the layout from [one_round] on every call.
+    @raise Invalid_argument if [ID(τ) ≠ ID(σ)] or some vertex of τ is
+    not a vertex of [Δ(σ)]. *)
+
+val index_candidates : index -> int -> Vertex.t array
+(** The candidates of one color.  A test hook. *)
+
+val index_tables : index -> (int list * int array array) list
+(** The face color sets of the index with their tuples, decoded from
+    the compiled tables ({!Csp.tuples}).  A test hook. *)
 
 val layout_protocols :
   layout_key -> one_round:(Simplex.t -> Simplex.t list) -> Simplex.t ->
@@ -89,7 +111,8 @@ val layout_protocols :
     read from the shared layout and relabeled onto τ.  A test hook,
     for comparing against [Complex.of_facets (one_round τ')]. *)
 
-type layout_stats = { layouts : int; layout_hits : int }
-(** Entries of the layout table, and lookups it answered. *)
+type stats = { layouts : int; layout_hits : int; index_tables : int }
+(** Entries of the layout table, lookups it answered, and tables
+    compiled into indexes. *)
 
-val layout_stats : unit -> layout_stats
+val stats : unit -> stats

@@ -158,6 +158,95 @@ let test_consensus_closure_taus () =
          List.filter (fun s -> Simplex.card s = 3) (Task.input_simplices task))
        [ Consensus.binary ~n:3 ])
 
+(* The custom operators pass no layout key, so their layouts are built
+   per call; candidates and tables still come from the per-σ index.
+   The last one is not pure: its facets on a face are the boundaries
+   of the IIS facets, colored by proper subsets of the face's colors,
+   so those tables are compiled outside the index. *)
+let unkeyed_ops =
+  [
+    ("2-concurrency", Round_op.k_concurrency 2);
+    ( "(inter iis snapshot)",
+      Round_op.algebra (Result.get_ok (Algebra.parse "(inter iis snapshot)")) );
+    ( "IIS facet boundaries",
+      Round_op.custom ~name:"iis-boundaries" (fun tau' ->
+          let facets = Model.one_round_facets Model.Immediate tau' in
+          if Simplex.card tau' < 2 then facets
+          else List.concat_map Simplex.boundary facets) );
+  ]
+
+let test_unkeyed op () =
+  ignore
+    (check_hard_taus
+       ~key:(fun _ -> None)
+       ~one_round:(Round_op.facets op) ~inputs:Task.input_simplices
+       [ Consensus.binary ~n:3; Approx_agreement.task ~n:3 ~m:2 ~eps:Frac.half ])
+
+(* The per-σ index against today's registration, for a random σ and τ:
+   Δ_{τ,σ} built from Definition 1 face by face, every vertex
+   registered input by input, then one table per face with two or
+   more colors over the face's own Δ.  The index must number every
+   color's candidates the same way and hold the same tuples, in the
+   same order, for exactly those faces. *)
+let prop_index_is_registration =
+  QCheck2.Test.make ~name:"per-σ index = per-τ registration (random σ, τ)"
+    ~count:200
+    QCheck2.Gen.(triple (int_bound 2) (int_range 0 100_000) (int_range 0 100_000))
+    (fun (which, seed, pick) ->
+      let task =
+        match which with
+        | 0 -> Consensus.binary ~n:3
+        | 1 -> Approx_agreement.task ~n:3 ~m:2 ~eps:Frac.half
+        | _ -> Gen.random_task seed
+      in
+      let nth l = List.nth l (pick mod List.length l) in
+      let sigma = nth (Task.input_simplices task) in
+      let tau = nth (Task.chromatic_output_sets task sigma) in
+      let cands = Hashtbl.create 8 in
+      let registered c = Option.value (Hashtbl.find_opt cands c) ~default:[] in
+      let faces = Simplex.faces tau in
+      let deltas = List.map (local_delta task sigma) faces in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun v ->
+              let c = Vertex.color v in
+              if not (List.exists (Vertex.equal v) (registered c)) then
+                Hashtbl.replace cands c (registered c @ [ v ]))
+            (Complex.vertices d))
+        deltas;
+      let id v =
+        let rec find k = function
+          | [] -> raise Not_found
+          | w :: rest -> if Vertex.equal v w then k else find (k + 1) rest
+        in
+        find 0 (registered (Vertex.color v))
+      in
+      let want =
+        List.filter_map
+          (fun (face, d) ->
+            if Simplex.card face < 2 then None
+            else
+              let f = Simplex.ids face in
+              Some
+                ( f,
+                  Array.of_list
+                    (List.map
+                       (fun s -> Array.of_list (List.map id (Simplex.vertices s)))
+                       (Complex.simplices_with_ids f d)) ))
+          (List.combine faces deltas)
+      in
+      let ix = Solvability.index task sigma in
+      (* A one-vertex τ registers only itself: its one face is solo and
+         pinned either way, so the other candidates change nothing. *)
+      (Simplex.card tau < 2
+      || List.for_all
+           (fun c ->
+             List.equal Vertex.equal (registered c)
+               (Array.to_list (Solvability.index_candidates ix c)))
+           (Simplex.ids sigma))
+      && List.sort compare (Solvability.index_tables ix) = List.sort compare want)
+
 (* Two candidates of one σ that agree on colors {1, 2} read the same
    physical Δ on that shared face: the projection of Δ(σ) is built once
    per color set, not once per τ. *)
@@ -278,7 +367,12 @@ let suite =
            Gen.random_task);
       Alcotest.test_case "n=3 consensus closure τs" `Quick test_consensus_closure_taus;
       QCheck_alcotest.to_alcotest prop_layout_is_one_round;
+      QCheck_alcotest.to_alcotest prop_index_is_registration;
     ]
+    @ List.map
+        (fun (label, op) ->
+          Alcotest.test_case ("unkeyed: " ^ label) `Quick (test_unkeyed op))
+        unkeyed_ops
     @ List.map
         (fun (label, op) ->
           Alcotest.test_case ("keyed layouts: " ^ label) `Quick
